@@ -31,7 +31,7 @@ from .decode_rand import (
     RandomizedAbort,
     randomized_decode,
 )
-from .sweep import ExperimentConfig, run_sweep
+from .sweep import ExperimentConfig, UsageError, run_sweep
 from .tanner import TannerCode, corrupt, load_bundle, write_bundle
 
 EXIT_OK = 0
@@ -366,6 +366,9 @@ def cli_dispatch(argv=None) -> int:
         parser.error("provide --code or both --graph and --inner")
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

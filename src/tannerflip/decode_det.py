@@ -10,9 +10,11 @@ The top layer repeats the search until no constraint is unsatisfied, then
 finishes with one bounded-distance pass of the inner decoder.
 
 All state updates are incremental: flipping a variable re-examines only the
-adjacent constraints, so the work per search call is proportional to the
-number of corruptions rather than the code length. Operation counters record
-every check, inner decode, and bit flip for the cost-contract tests.
+adjacent constraints. The search walk collapses each chain of empty-bucket
+(no-op) levels into one frame, so a search call costs its real bucket flips
+plus O(c + log s0) per chain, rather than one step per level of the s0-deep
+sequence tree. Operation counters record every check, inner decode, bit flip
+and search node for the cost-contract tests.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import neg
 
 from .gf2 import BitVector
 from .tanner import TannerCode
@@ -138,15 +142,19 @@ def derive_params(
 
 @dataclass
 class OpCounters:
+    """Work counters; `nodes` counts the levels hard_search's walk stands on
+    to try digits, plus each leaf it decides."""
+
     checks: int = 0
     inner_decodes: int = 0
     flips: int = 0
+    nodes: int = 0
 
     def total(self) -> int:
-        return self.checks + self.inner_decodes + self.flips
+        return self.checks + self.inner_decodes + self.flips + self.nodes
 
     def copy(self) -> OpCounters:
-        return OpCounters(self.checks, self.inner_decodes, self.flips)
+        return OpCounters(self.checks, self.inner_decodes, self.flips, self.nodes)
 
 
 class DecodeState:
@@ -285,17 +293,18 @@ def deep_flip(state: DecodeState, seq) -> bool:
     """Apply easy_flip per entry of seq with a shrink check after each step.
 
     Returns False (pruned) as soon as the unsatisfied count exceeds
-    (1-eps3)^k * c*gamma*n after step k, True if the whole sequence ran. The
-    state keeps the branch-end word either way; callers can rewind via
-    restore_baseline().
+    params.prune_bounds[k] after step k, True if the whole sequence ran; this
+    is the pruning hard_search applies, on the same floats. Steps beyond s0
+    continue the bounds' recurrence. The state keeps the branch-end word
+    either way; callers can rewind via restore_baseline().
     """
     params = state.params
-    cgn = params.c * params.gamma * params.n
-    factor = 1.0
-    for m in seq:
+    bounds = params.prune_bounds
+    bound = bounds[0]
+    for k, m in enumerate(seq, 1):
         easy_flip(state, m)
-        factor *= 1.0 - params.eps3
-        if state.unsat_count > factor * cgn:
+        bound = bounds[k] if k <= params.s0 else bound * (1.0 - params.eps3)
+        if state.unsat_count > bound:
             return False
     return True
 
@@ -304,11 +313,27 @@ def hard_search(state: DecodeState) -> None:
     """Commit the first flip sequence that cuts the unsatisfied count to
     eps4 * |U|, scanning [c]^s0 in lexicographic order.
 
-    The scan is realized as a backtracking walk with three exact shortcuts:
-    a pruned prefix discards every sequence sharing it; sibling digits whose
-    vote bucket is empty lead to identical subtrees, so only the first is
-    tried; and a node with no pending votes is frozen, so its whole subtree
-    is decided by comparing |U| against the final bounds. Raises
+    The scan is realized as an iterative backtracking walk with these exact
+    shortcuts:
+
+    - a prefix whose count exceeds its pruning bound discards every sequence
+      sharing it;
+    - a node with no pending votes is frozen, so its whole subtree is decided
+      by comparing |U| against the final bounds;
+    - sibling digits whose vote bucket is empty lead to identical subtrees,
+      so only the first empty digit e is explored;
+    - that no-op edge leads to a chain of levels that all hold the same word.
+      The chain is walked as one frame. It reaches
+      top = min(s0, largest k with |U| <= prune_bounds[k]), found by one
+      bisect because the bounds decrease. Each digit is applied once to learn
+      its count |U'_m| and the deepest level K_m - 1 at which it passes, so the
+      walk visits only levels where some digit can pass: going down, the
+      digits before e stop passing for good once they fail; going back up,
+      it jumps to the deepest level where a digit after e first passes.
+
+    Each call thus costs its real bucket flips plus O(c + log s0) per chain,
+    not one frame per level of [c]^s0. `ops.nodes` counts the levels the
+    walk stands on to try digits, plus each leaf decided. Raises
     NoAcceptableBranch (state rewound) when the scan exhausts.
     """
     params = state.params
@@ -317,51 +342,121 @@ def hard_search(state: DecodeState) -> None:
     accept_limit = params.eps4 * state.unsat_count
     bounds = params.prune_bounds
     buckets = state.buckets
+    ops = state.ops
 
-    # frame: [next digit to try, a no-op digit already failed, flips of the
-    # edge that entered this node]
-    stack: list[list] = [[1, False, []]]
-    while stack:
-        frame = stack[-1]
-        depth = len(stack) - 1
+    def reach(u: int) -> int:
+        """Largest k <= s0 with u <= bounds[k], or -1."""
+        return bisect_right(bounds, -u, key=neg) - 1
+
+    def accept_leaf(depth: int) -> bool:
+        """Decide a leaf at `depth`; commit the word if it accepts."""
+        ops.nodes += 1
+        u = state.unsat_count
+        if u <= accept_limit and (depth == s0 or u <= bounds[s0]):
+            state.commit()
+            return True
+        return False
+
+    stack: list[_Chain] = []
+
+    def enter(depth: int, flipped: list[int]) -> bool:
+        """Push the frame for the node that `flipped` led to. A leaf is
+        decided at once: True means it accepted and was committed, a rejected
+        leaf is undone."""
         if depth == s0 or state.senders == 0:
-            if state.unsat_count <= accept_limit and (
-                depth == s0 or state.unsat_count <= bounds[s0]
-            ):
-                state.commit()
-                return
-            stack.pop()
-            if frame[2]:
-                state.undo_flips(frame[2])
-            elif stack:
-                stack[-1][1] = True
-            continue
-        m = frame[0]
-        if m > c:
-            stack.pop()
-            if frame[2]:
-                state.undo_flips(frame[2])
-            elif stack:
-                stack[-1][1] = True
-            continue
-        frame[0] = m + 1
-        if not buckets[m]:
-            if frame[1]:
-                continue
-            if state.unsat_count > bounds[depth + 1]:
-                frame[1] = True
-                continue
-            stack.append([1, False, []])
-            continue
-        flipped = state.apply_flips(buckets[m])
-        if state.unsat_count > bounds[depth + 1]:
+            if accept_leaf(depth):
+                return True
             state.undo_flips(flipped)
+            return False
+        ops.nodes += 1
+        first_empty = next((m for m in range(1, c + 1) if not buckets[m]), c + 1)
+        top = depth
+        if first_empty <= c:
+            top = max(depth, reach(state.unsat_count))
+        stack.append(_Chain(depth, flipped, first_empty, top, c))
+        return False
+
+    def try_digit(chain: _Chain, m: int) -> bool:
+        """Flip bucket m at chain.level and enter the child unless the flip
+        is pruned; True once a sequence was committed."""
+        level = chain.level
+        known = chain.reach[m]
+        if known is not None and known <= level:
+            return False
+        flipped = state.apply_flips(buckets[m])
+        chain.reach[m] = k = reach(state.unsat_count)
+        if k <= level:
+            state.undo_flips(flipped)
+            return False
+        return enter(level + 1, flipped)
+
+    if enter(0, []):
+        return
+    while stack:
+        chain = stack[-1]
+        m, e, level = chain.digit, chain.first_empty, chain.level
+        if m <= c and m != e:
+            chain.digit = m + 1
+            if buckets[m] and try_digit(chain, m):
+                return
             continue
-        stack.append([1, False, flipped])
+        if m == e:
+            # Descending: the digits before e were tried at this level. The
+            # no-op edge leads one level down while some of them can still
+            # pass there; otherwise straight to the chain's last level.
+            last = min(chain.top, s0 - 1)
+            if level < last and any(
+                chain.reach[k] > level + 1 for k in range(1, e)
+            ):
+                chain.level, chain.digit = level + 1, 1
+                ops.nodes += 1
+                continue
+            if chain.top == s0 and accept_leaf(s0):
+                return
+            if last != level:
+                chain.level = last
+                ops.nodes += 1
+            chain.digit = e + 1
+            continue
+        # Ascending: every digit after e was tried at this level; jump to the
+        # deepest shallower level where one of them passes.
+        deepest = max(
+            (k for k in chain.reach[e + 1 :] if k is not None), default=-1
+        )
+        nxt = min(level - 1, deepest - 1)
+        if nxt < chain.depth:
+            stack.pop()
+            state.undo_flips(chain.flipped)
+            continue
+        chain.level, chain.digit = nxt, e + 1
+        ops.nodes += 1
     raise NoAcceptableBranch(
         "no flip sequence reached the required reduction; "
         "the corruption likely exceeds the guaranteed radius"
     )
+
+
+class _Chain:
+    """One hard_search frame: the levels depth..top that hold the same word.
+
+    `level` is the level being worked and `digit` the next digit to try
+    there; digits below `first_empty` are tried on the way down, the rest on
+    the way back up. `reach[m]` caches the largest k with |U'_m| <=
+    prune_bounds[k] once bucket m has been flipped from this word.
+    """
+
+    __slots__ = ("depth", "flipped", "first_empty", "top", "level", "digit", "reach")
+
+    def __init__(
+        self, depth: int, flipped: list[int], first_empty: int, top: int, c: int
+    ) -> None:
+        self.depth = depth
+        self.flipped = flipped
+        self.first_empty = first_empty
+        self.top = top
+        self.level = depth
+        self.digit = 1
+        self.reach: list[int | None] = [None] * (c + 1)
 
 
 @dataclass
@@ -381,6 +476,7 @@ class DecodeReport:
                 "checks": self.ops.checks,
                 "inner_decodes": self.ops.inner_decodes,
                 "flips": self.ops.flips,
+                "nodes": self.ops.nodes,
                 "outcome": self.outcome,
             },
             separators=(",", ":"),

@@ -2,8 +2,9 @@
 
 Every trial is a pure function of (root seed, weight, trial index), so sweep
 reports are bitwise reproducible. Trials may run in worker processes when
-TANNER_THREADS asks for more than one; rows are merged by (weight, trial)
-regardless of completion order.
+TANNER_THREADS asks for more than one (a positive integer, clamped to the
+number of trials); rows are merged by (weight, trial) regardless of
+completion order.
 """
 
 from __future__ import annotations
@@ -28,8 +29,13 @@ from .tanner import TannerCode, corrupt
 
 CSV_HEADER = (
     "sweep v1,weight,trial,seed,success,dist_to_truth,rounds,rand_iters,"
-    "checks,inner_decodes,flips,wall_ms,outcome"
+    "checks,inner_decodes,flips,nodes,wall_ms,outcome"
 )
+
+
+class UsageError(ValueError):
+    """A run setting from outside the program, such as TANNER_THREADS, is
+    malformed."""
 
 
 def derive_seed(root: int, *parts: int) -> int:
@@ -72,6 +78,7 @@ class SweepRow:
     checks: int
     inner_decodes: int
     flips: int
+    nodes: int
     wall_ms: float
     outcome: str
 
@@ -79,7 +86,7 @@ class SweepRow:
         return (
             f"{self.weight},{self.trial},{self.seed},{int(self.success)},"
             f"{self.dist_to_truth},{self.rounds},{self.rand_iters},"
-            f"{self.checks},{self.inner_decodes},{self.flips},"
+            f"{self.checks},{self.inner_decodes},{self.flips},{self.nodes},"
             f"{self.wall_ms:.3f},{self.outcome}"
         )
 
@@ -95,6 +102,7 @@ class SweepRow:
             "checks": self.checks,
             "inner_decodes": self.inner_decodes,
             "flips": self.flips,
+            "nodes": self.nodes,
             "wall_ms": self.wall_ms,
             "outcome": self.outcome,
         }
@@ -174,6 +182,7 @@ def run_trial(
         checks=ops.checks,
         inner_decodes=ops.inner_decodes,
         flips=ops.flips,
+        nodes=ops.nodes,
         wall_ms=wall_ms,
         outcome=outcome,
     )
@@ -192,7 +201,7 @@ def run_sweep(
         for weight in config.weights
         for trial in range(config.trials)
     ]
-    threads = int(os.environ.get("TANNER_THREADS", "1"))
+    threads = worker_count(os.environ.get("TANNER_THREADS"), len(jobs))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_worker, jobs, chunksize=8))
@@ -200,6 +209,21 @@ def run_sweep(
         rows = [_worker(job) for job in jobs]
     rows.sort(key=lambda r: (r.weight, r.trial))
     return SweepReport(rows=rows)
+
+
+def worker_count(value: str | None, n_jobs: int) -> int:
+    """Worker processes for n_jobs trials from TANNER_THREADS's value.
+
+    Unset means 1. Anything but a decimal integer >= 1 raises UsageError.
+    The count is clamped to n_jobs only.
+    """
+    if value is None:
+        return 1
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
+        raise UsageError(
+            f"TANNER_THREADS must be a positive integer, got {value!r}"
+        )
+    return min(int(value), max(n_jobs, 1))
 
 
 def parse_csv(text: str) -> SweepReport:
@@ -221,8 +245,9 @@ def parse_csv(text: str) -> SweepReport:
                 checks=int(f[7]),
                 inner_decodes=int(f[8]),
                 flips=int(f[9]),
-                wall_ms=float(f[10]),
-                outcome=f[11],
+                nodes=int(f[10]),
+                wall_ms=float(f[11]),
+                outcome=f[12],
             )
         )
     return SweepReport(rows=rows)
@@ -236,5 +261,7 @@ __all__ = [
     "run_sweep",
     "parse_csv",
     "derive_seed",
+    "worker_count",
+    "UsageError",
     "CSV_HEADER",
 ]

@@ -10,8 +10,10 @@ from tannerflip.gf2 import BitVector
 from tannerflip.sweep import (
     CSV_HEADER,
     ExperimentConfig,
+    UsageError,
     parse_csv,
     run_sweep,
+    worker_count,
 )
 
 
@@ -74,6 +76,12 @@ class TestSweep:
         ]
         assert strip(seq.rows) == strip(par.rows)
 
+    def test_rows_count_search_nodes(self, big_code, big_params):
+        config = ExperimentConfig(weights=(2,), trials=2, seed=8, zero_codeword=True)
+        report = run_sweep(big_code, big_params, config)
+        assert all(row.success and row.nodes >= 1 for row in report.rows)
+        assert parse_csv(report.to_csv()).rows == report.rows
+
     def test_rand_decoder_rows(self, k32_code, k32_params):
         config = ExperimentConfig(weights=(1,), trials=6, seed=7, decoder="rand")
         report = run_sweep(k32_code, k32_params, config)
@@ -87,6 +95,21 @@ class TestSweep:
             ExperimentConfig(weights=(-1,), trials=1)
         with pytest.raises(ValueError):
             ExperimentConfig(weights=(1,), trials=1, decoder="magic")
+
+
+class TestWorkerCount:
+    def test_unset_is_one(self):
+        assert worker_count(None, 10) == 1
+
+    def test_clamped_to_jobs_only(self):
+        assert worker_count("2", 10) == 2
+        assert worker_count("64", 3) == 3
+        assert worker_count("1", 0) == 1
+
+    @pytest.mark.parametrize("value", ["", "0", "-1", "1.5", "two", " 2", "+2", "2_0", "\u0662"])
+    def test_malformed_rejected(self, value):
+        with pytest.raises(UsageError):
+            worker_count(value, 10)
 
 
 class TestCli:
@@ -139,6 +162,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["word"] == "000"
         assert payload["report"]["outcome"] == "codeword"
+        assert payload["report"]["nodes"] == 0  # k32 runs no search round
 
     def test_decode_failure_exit_code(self, tmp_path, capsys):
         graph = tf.BipartiteGraph(1, 8, [[v // 8] for v in range(8)])
@@ -216,6 +240,25 @@ class TestCli:
         assert rc == 0
         assert "success_rate=1.0000" in capsys.readouterr().out
         assert parse_csv(out.read_text()).success_rate() == 1.0
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_threads_exit_2(self, k32_bundle, monkeypatch, capsys, value):
+        monkeypatch.setenv("TANNER_THREADS", value)
+        rc = main(
+            ["sweep", "--code", str(k32_bundle), "--alpha", "0.3333",
+             "--delta", "1", "--weights", "1", "--trials", "2"]
+        )
+        assert rc == 2
+        assert "TANNER_THREADS" in capsys.readouterr().err
+
+    def test_sweep_json_has_nodes(self, k32_bundle, capsys):
+        rc = main(
+            ["sweep", "--code", str(k32_bundle), "--alpha", "0.3333",
+             "--delta", "1", "--weights", "1", "--trials", "2", "--json"]
+        )
+        assert rc == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["nodes"] for row in rows] == [0, 0]
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
 import random
@@ -185,6 +187,19 @@ class TestDeepFlip:
         assert tf.deep_flip(st, [1, 2, 1, 2]) is True
         assert st.x_vector().to_text() == "111"
 
+    def test_prunes_on_the_walks_bounds(self, k32_code, k32_params):
+        # prune_bounds[3] is exactly 2.0 here, while (1-eps3)^3 * c*gamma*n
+        # rounds to just below it: deep_flip must use the former
+        params = dataclasses.replace(
+            k32_params, s0=3, eps3=0.3, gamma=0.9718172983479106
+        )
+        assert params.prune_bounds[3] == 2.0
+        st = tf.DecodeState(k32_code, params, BitVector.from_text("100"))
+        assert st.unsat_count == 2 and not st.buckets[1]
+        assert tf.deep_flip(st, [1, 1, 1]) is True
+        # a step beyond s0 continues the recurrence, to 1.4
+        assert tf.deep_flip(st, [1, 1, 1, 1]) is False
+
     def test_restoration_exact(self, big_code, big_params):
         truth = BitVector.zeros(big_code.n)
         rng = random.Random(3)
@@ -244,6 +259,134 @@ class TestHardSearch:
         assert st.x_vector() == x
 
 
+def scan_commit(code, params, x: BitVector) -> BitVector | None:
+    """Reference scan: the word after the first sequence of [c]^s0, in
+    lexicographic order, that deep_flip runs through and that cuts |U| to
+    eps4 * |U|; None when no sequence does."""
+    state = tf.DecodeState(code, params, x)
+    limit = params.eps4 * state.unsat_count
+    for seq in itertools.product(range(1, code.graph.c + 1), repeat=params.s0):
+        if tf.deep_flip(state, seq) and state.unsat_count <= limit:
+            return state.x_vector()
+        state.restore_baseline()
+    return None
+
+
+def walk_commit(code, params, x: BitVector) -> BitVector | None:
+    state = tf.DecodeState(code, params, x)
+    try:
+        tf.hard_search(state)
+    except tf.NoAcceptableBranch:
+        assert state.x_vector() == x
+        return None
+    assert not state.flip_record
+    return state.x_vector()
+
+
+class TestScanEquivalence:
+    """hard_search commits what the lexicographic scan of [c]^s0 commits."""
+
+    @staticmethod
+    def small_code():
+        graph = gen_random_biregular(4, 8, 32, seed=2)
+        code = TannerCode(graph, ext_hamming_inner())
+        params = tf.derive_params(c=4, d=8, alpha=0.1, delta=0.8, d0=4, n=32)
+        return code, params
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"s0": 3},
+            {"s0": 3, "gamma": 0.2, "eps4": 0.3},
+            {"s0": 3, "eps3": 0.2, "gamma": 0.2},
+            {"s0": 4, "eps3": 0.05, "gamma": 0.5, "eps4": 0.6},
+            {"s0": 2, "eps3": 0.4, "gamma": 0.5, "eps4": 0.9},
+        ],
+    )
+    def test_small_code(self, overrides):
+        code, base = self.small_code()
+        params = dataclasses.replace(base, **overrides)
+        rng = random.Random(repr(sorted(overrides.items())))
+        outcomes = Counter()
+        for _ in range(60):
+            if rng.random() < 0.3:
+                x = BitVector(code.n, rng.getrandbits(code.n))
+            else:
+                x = corrupt(BitVector.zeros(code.n), rng.randint(0, 12), rng.randrange(1 << 30))
+            expected = scan_commit(code, params, x)
+            assert walk_commit(code, params, x) == expected, x.to_text()
+            outcomes[expected is None] += 1
+        assert outcomes[True] and outcomes[False]  # both accept and exhaust occur
+
+    @pytest.mark.parametrize("overrides", [{"s0": 3}, {"s0": 3, "eps3": 0.1}])
+    def test_big_code(self, big_code, big_params, overrides):
+        params = dataclasses.replace(big_params, **overrides)
+        for weight, seed in ((1, 1), (2, 2), (3, 3), (5, 4), (8, 5), (30, 6)):
+            x = corrupt(BitVector.zeros(big_code.n), weight, seed=seed)
+            assert walk_commit(big_code, params, x) == scan_commit(big_code, params, x)
+
+
+def test_no_op_chain_is_one_frame(big_code, big_params):
+    # bucket 1 is empty, so the accepted sequence is 1^(s0-1) m: the walk
+    # must reach it in a few nodes and one flip, not s0 frames
+    x = corrupt(BitVector.zeros(big_code.n), 1, seed=1)
+    st = tf.DecodeState(big_code, big_params, x)
+    assert not st.buckets[1] and big_params.s0 > 10**4
+    before = st.ops.copy()
+    tf.hard_search(st)
+    assert st.unsat_count == 0
+    assert st.ops.flips - before.flips == 1
+    assert 1 <= st.ops.nodes - before.nodes <= 4
+
+
+# Decodes on the n=2000 fixture, recorded with the level-by-level walk:
+# (weight, corrupt seed, outcome, unsat_per_round). The radius is 3.
+PINNED_DECODES = [
+    (1, 1, "codeword", [12, 0]),
+    (1, 2, "codeword", [12, 0]),
+    (1, 3, "codeword", [12, 0]),
+    (2, 1, "codeword", [24, 0]),
+    (2, 2, "codeword", [24, 0]),
+    (2, 3, "codeword", [24, 0]),
+    (3, 1, "codeword", [36, 0]),
+    (3, 2, "codeword", [36, 0]),
+    (3, 3, "codeword", [36, 0]),
+    (4, 1, "codeword", [48, 0]),
+    (4, 2, "codeword", [48, 0]),
+    (4, 3, "codeword", [48, 0]),
+    (5, 1, "codeword", [60, 0]),
+    (5, 2, "codeword", [60, 0]),
+    (5, 3, "codeword", [60, 0]),
+    (6, 1, "codeword", [71, 0]),
+    (6, 2, "codeword", [72, 0]),
+    (6, 3, "codeword", [72, 0]),
+    (7, 1, "codeword", [82, 0]),
+    (7, 2, "codeword", [83, 0]),
+    (7, 3, "codeword", [84, 0]),
+    (8, 1, "no_acceptable_branch", [93]),
+    (8, 2, "codeword", [95, 0]),
+    (8, 3, "codeword", [96, 0]),
+    (9, 1, "no_acceptable_branch", [105]),
+    (9, 2, "codeword", [106, 0]),
+    (9, 3, "codeword", [106, 0]),
+    (12, 1, "no_acceptable_branch", [140]),
+    (12, 2, "no_acceptable_branch", [141]),
+    (12, 3, "no_acceptable_branch", [141]),
+]
+
+
+def test_pinned_decodes(big_code, big_params):
+    zero = BitVector.zeros(big_code.n)
+    for weight, seed, outcome, unsat in PINNED_DECODES:
+        report = tf.DecodeReport()
+        try:
+            out = tf.main_decode(big_code, big_params, corrupt(zero, weight, seed=seed), report=report)
+        except tf.NoAcceptableBranch:
+            out = None
+        assert (report.outcome, report.unsat_per_round) == (outcome, unsat), (weight, seed)
+        assert (out == zero) if outcome == "codeword" else out is None
+
+
 class TestMainDecode:
     def test_corrects_single_error(self, k32_code, k32_params):
         out = tf.main_decode(k32_code, k32_params, BitVector.from_text("100"))
@@ -296,6 +439,7 @@ class TestMainDecode:
         payload = json.loads(report.to_json_line())
         assert payload["outcome"] == "codeword"
         assert payload["inner_decodes"] == report.ops.inner_decodes
+        assert payload["nodes"] == report.ops.nodes
 
     def test_decode_at_radius_big(self, big_code, big_params):
         truth = BitVector.zeros(big_code.n)
