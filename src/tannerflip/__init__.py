@@ -13,7 +13,7 @@ from .graphs import (
     verify_expansion,
 )
 from .inner import InnerCode, parity_check_code, repetition_code
-from .tanner import Restriction, TannerCode, corrupt, load_bundle, write_bundle
+from .tanner import TannerCode, corrupt, load_bundle, write_bundle
 from .decode_det import (
     DecodeFailure,
     DecodeReport,
@@ -23,7 +23,6 @@ from .decode_det import (
     OpCounters,
     TruthTrace,
     compute_truth_trace,
-    deep_flip,
     derive_params,
     easy_flip,
     hard_search,
@@ -60,7 +59,6 @@ __all__ = [
     "InnerCode",
     "parity_check_code",
     "repetition_code",
-    "Restriction",
     "TannerCode",
     "corrupt",
     "load_bundle",
@@ -73,7 +71,6 @@ __all__ = [
     "OpCounters",
     "TruthTrace",
     "compute_truth_trace",
-    "deep_flip",
     "derive_params",
     "easy_flip",
     "hard_search",

@@ -180,9 +180,8 @@ class DecodeState:
         self._left_adj = graph.left_adj
         self._right_adj = graph.right_adj
         self._leader_for = code.inner.leader_for
-        self.x = bytearray(code.n)
-        for i in x.indices():
-            self.x[i] = 1
+        self._read = code.read_restriction
+        self.x = bytearray(x.to_bytes01())
         self.unsat: set[int] = set()
         self.targets = [-1] * graph.n_right
         self.votes = [0] * graph.n_left
@@ -198,27 +197,17 @@ class DecodeState:
         return len(self.unsat)
 
     def x_vector(self) -> BitVector:
-        bits = 0
-        for i, b in enumerate(self.x):
-            if b:
-                bits |= 1 << i
-        return BitVector(self.code.n, bits)
+        return BitVector.from_bytes01(self.x)
 
-    def restriction_bits(self, u: int) -> int:
-        r = 0
-        x = self.x
-        for j, v in enumerate(self._right_adj[u]):
-            if x[v]:
-                r |= 1 << j
-        return r
-
-    def _examine(self, u: int) -> None:
+    def _examine(self, u: int) -> int | None:
+        """Bring constraint u's entries in the invariant up to date with the
+        current word, counting one check and one inner decode; returns the
+        coset leader of u's restriction (None beyond the inner radius)."""
         coords = self._right_adj[u]
-        r = self.restriction_bits(u)
         ops = self.ops
         ops.checks += 1
         ops.inner_decodes += 1
-        leader = self._leader_for(r)
+        leader = self._leader_for(self._read(self.x, u))
         if leader == 0:
             self.unsat.discard(u)
         else:
@@ -235,6 +224,7 @@ class DecodeState:
                 self._move_vote(new, +1)
                 self.senders += 1
             self.targets[u] = new
+        return leader
 
     def _move_vote(self, v: int, delta: int) -> None:
         m = self.votes[v]
@@ -287,26 +277,6 @@ def easy_flip(state: DecodeState, m: int) -> list[int]:
     if not 1 <= m <= state.code.graph.c:
         raise ValueError(f"m must be in [1, {state.code.graph.c}]")
     return state.apply_flips(state.buckets[m])
-
-
-def deep_flip(state: DecodeState, seq) -> bool:
-    """Apply easy_flip per entry of seq with a shrink check after each step.
-
-    Returns False (pruned) as soon as the unsatisfied count exceeds
-    params.prune_bounds[k] after step k, True if the whole sequence ran; this
-    is the pruning hard_search applies, on the same floats. Steps beyond s0
-    continue the bounds' recurrence. The state keeps the branch-end word
-    either way; callers can rewind via restore_baseline().
-    """
-    params = state.params
-    bounds = params.prune_bounds
-    bound = bounds[0]
-    for k, m in enumerate(seq, 1):
-        easy_flip(state, m)
-        bound = bounds[k] if k <= params.s0 else bound * (1.0 - params.eps3)
-        if state.unsat_count > bound:
-            return False
-    return True
 
 
 def hard_search(state: DecodeState) -> None:
@@ -529,15 +499,12 @@ def main_decode(
 
 
 def _final_inner_pass(state: DecodeState) -> None:
-    """Rewrite each still-unsatisfied restriction with its decoded codeword."""
-    inner = state.code.inner
+    """Rewrite each still-unsatisfied restriction with its decoded codeword.
+    Re-examining u leaves the up-to-date state as it is and yields its leader."""
     for u in sorted(state.unsat):
         if u not in state.unsat:
             continue
-        r = state.restriction_bits(u)
-        state.ops.checks += 1
-        state.ops.inner_decodes += 1
-        leader = inner.leader_for(r)
+        leader = state._examine(u)
         if not leader:
             continue
         coords = state._right_adj[u]
@@ -599,13 +566,14 @@ def compute_truth_trace(state: DecodeState, truth: BitVector) -> TruthTrace:
     correct: set[int] = set()
     confused: set[int] = set()
     votes_from_correct = [0] * (c + 1)
+    truth_word = truth.to_bytes01()
     for u in range(code.graph.n_right):
         tgt = state.targets[u]
         if tgt < 0:
             continue
-        r = state.restriction_bits(u)
+        r = code.read_restriction(state.x, u)
         leader = code.inner.leader_for(r)
-        truth_bits = code.restriction(u).extract_bits(truth)
+        truth_bits = code.read_restriction(truth_word, u)
         if r ^ leader == truth_bits:
             correct.add(u)
             votes_from_correct[state.votes[tgt]] += 1
@@ -641,7 +609,6 @@ __all__ = [
     "OpCounters",
     "DecodeState",
     "easy_flip",
-    "deep_flip",
     "hard_search",
     "DecodeReport",
     "main_decode",

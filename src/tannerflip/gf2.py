@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+_DIGITS_OF_BYTES = bytes.maketrans(b"\x00\x01", b"01")
+_BYTES_OF_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True)
 class BitVector:
@@ -24,21 +27,18 @@ class BitVector:
         return cls(n, 0)
 
     @classmethod
-    def from_bits(cls, values: Iterable[int]) -> BitVector:
-        bits = 0
-        n = 0
-        for v in values:
-            if v:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
     def from_text(cls, text: str) -> BitVector:
         text = text.strip()
         if text and set(text) - {"0", "1"}:
             raise ValueError("bit string must contain only '0'/'1'")
-        return cls.from_bits(1 if ch == "1" else 0 for ch in text)
+        return cls.from_bytes01(text.encode().translate(_BYTES_OF_DIGITS))
+
+    @classmethod
+    def from_bytes01(cls, word: bytes | bytearray) -> BitVector:
+        """The vector whose coordinate i is word[i], for a word of 0/1 bytes."""
+        if not word:
+            return cls(0, 0)
+        return cls(len(word), int(word.translate(_DIGITS_OF_BYTES)[::-1], 2))
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> BitVector:
@@ -70,8 +70,15 @@ class BitVector:
             bits ^= low
         return out
 
+    def to_bytes01(self) -> bytes:
+        """One 0/1 byte per coordinate, coordinate i at index i."""
+        if not self.n:
+            return b""
+        digits = format(self.bits, f"0{self.n}b")[::-1]
+        return digits.encode().translate(_BYTES_OF_DIGITS)
+
     def to_text(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return self.to_bytes01().translate(_DIGITS_OF_BYTES).decode()
 
     def __xor__(self, other: BitVector) -> BitVector:
         return add(self, other)
@@ -177,6 +184,16 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
     return BitMatrix(m.rows, m.cols, tuple(work)), rank, pivots
 
 
+def gray_span(n: int, generators: tuple[int, ...]) -> Iterator[BitVector]:
+    """Every sum of a subset of the packed generators, in Gray-code order from
+    zero: each step adds one generator."""
+    word = 0
+    yield BitVector(n, word)
+    for counter in range(1, 1 << len(generators)):
+        word ^= generators[(counter & -counter).bit_length() - 1]
+        yield BitVector(n, word)
+
+
 def nullspace_basis(m: BitMatrix) -> list[BitVector]:
     """Basis of the right kernel of m; one vector per free column."""
     reduced, rank, pivots = rref(m)
@@ -199,4 +216,5 @@ __all__ = [
     "mat_vec_mul",
     "rref",
     "nullspace_basis",
+    "gray_span",
 ]

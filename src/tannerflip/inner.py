@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .gf2 import BitMatrix, BitVector, nullspace_basis, rref
+from .gf2 import BitMatrix, BitVector, gray_span, nullspace_basis, rref
 
 MAX_BLOCK_LENGTH = 24
 
@@ -98,7 +98,7 @@ class InnerCode:
         """All 2^k0 codewords, Gray-code order starting from zero."""
         if self.k0 > MAX_BLOCK_LENGTH:
             raise ValueError("dimension too large to enumerate")
-        yield from _gray_span(self.d, self.g.row_bits)
+        yield from gray_span(self.d, self.g.row_bits)
 
     def to_text(self) -> str:
         lines = [f"{self.d} {self.h.rows}"]
@@ -126,18 +126,10 @@ class InnerCode:
         return cls.from_parity_check(BitMatrix.from_rows(rows))
 
 
-def _gray_span(n: int, generators: tuple[int, ...]) -> Iterator[BitVector]:
-    word = 0
-    yield BitVector(n, word)
-    for counter in range(1, 1 << len(generators)):
-        word ^= generators[(counter & -counter).bit_length() - 1]
-        yield BitVector(n, word)
-
-
 def _min_weight(g_rows: list[BitVector]) -> int:
     n = g_rows[0].n
     best = n + 1
-    for cw in _gray_span(n, tuple(v.bits for v in g_rows)):
+    for cw in gray_span(n, tuple(v.bits for v in g_rows)):
         w = cw.weight()
         if 0 < w < best:
             best = w

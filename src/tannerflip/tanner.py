@@ -2,38 +2,25 @@
 
 A word of length n_left belongs to the code when its restriction to every
 constraint's neighborhood (taken in ascending left-vertex order) is an inner
-codeword. Global parity checks, the generator basis, and the brute-force
-oracles are computed lazily; decoding never needs them.
+codeword; `read_restriction` is the one place that reads a restriction.
+Global parity checks, the generator basis (one elimination, which also gives
+`dim`), and the brute-force oracles are computed lazily; decoding never needs
+them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
-from .gf2 import BitMatrix, BitVector, nullspace_basis, rref
+from .gf2 import BitMatrix, BitVector, gray_span, nullspace_basis
 from .graphs import BipartiteGraph
 from .inner import InnerCode
 
 MAX_BRUTEFORCE_DIM = 24
 MAX_ORACLE_DIM = 20
-
-
-@dataclass(frozen=True)
-class Restriction:
-    """Coordinate map of one constraint: position j reads left bit coords[j]."""
-
-    constraint: int
-    coords: tuple[int, ...]
-
-    def extract_bits(self, x: BitVector) -> int:
-        bits = 0
-        for j, v in enumerate(self.coords):
-            if (x.bits >> v) & 1:
-                bits |= 1 << j
-        return bits
 
 
 class TannerCode:
@@ -46,34 +33,31 @@ class TannerCode:
         self.inner = inner
         self.n = graph.n_left
 
-    def restriction(self, u: int) -> Restriction:
-        return Restriction(u, self.graph.right_adj[u])
+    def read_restriction(self, word: bytes | bytearray, u: int) -> int:
+        """Constraint u's restriction of a 0/1 byte word, packed: bit j holds
+        the word's value at u's j-th neighbor."""
+        r = 0
+        for v in reversed(self.graph.right_adj[u]):
+            r = r + r + word[v]
+        return r
 
-    def _restriction_bits(self, x: BitVector, u: int) -> int:
-        bits = 0
-        xb = x.bits
-        for j, v in enumerate(self.graph.right_adj[u]):
-            if (xb >> v) & 1:
-                bits |= 1 << j
-        return bits
-
-    def is_codeword(self, x: BitVector) -> bool:
+    def _failing(self, x: BitVector) -> Iterator[int]:
+        """Constraints whose restriction of x fails the inner check, ascending."""
         if x.n != self.n:
             raise ValueError(f"length mismatch: expected {self.n}, got {x.n}")
-        return all(
-            self.inner.syndrome_bits(self._restriction_bits(x, u)) == 0
-            for u in range(self.graph.n_right)
-        )
+        word = x.to_bytes01()
+        read = self.read_restriction
+        syndrome = self.inner.syndrome_bits
+        for u in range(self.graph.n_right):
+            if syndrome(read(word, u)):
+                yield u
+
+    def is_codeword(self, x: BitVector) -> bool:
+        return next(self._failing(x), None) is None
 
     def unsatisfied(self, x: BitVector) -> set[int]:
         """Constraints whose restriction fails the inner check."""
-        if x.n != self.n:
-            raise ValueError(f"length mismatch: expected {self.n}, got {x.n}")
-        return {
-            u
-            for u in range(self.graph.n_right)
-            if self.inner.syndrome_bits(self._restriction_bits(x, u)) != 0
-        }
+        return set(self._failing(x))
 
     @cached_property
     def global_h(self) -> BitMatrix:
@@ -95,10 +79,9 @@ class TannerCode:
     def generator(self) -> tuple[BitVector, ...]:
         return tuple(nullspace_basis(self.global_h))
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        _, rank, _ = rref(self.global_h)
-        return self.n - rank
+        return len(self.generator)
 
     def encode(self, msg: BitVector) -> BitVector:
         if msg.n != self.dim:
@@ -109,14 +92,9 @@ class TannerCode:
                 bits ^= gen.bits
         return BitVector(self.n, bits)
 
-    def codewords(self):
+    def codewords(self) -> Iterator[BitVector]:
         """All 2^dim codewords in Gray-code order (guarded by dim)."""
-        word = 0
-        gens = self.generator
-        yield BitVector(self.n, word)
-        for counter in range(1, 1 << len(gens)):
-            word ^= gens[(counter & -counter).bit_length() - 1].bits
-            yield BitVector(self.n, word)
+        return gray_span(self.n, tuple(g.bits for g in self.generator))
 
     def min_distance_bruteforce(self) -> int:
         if self.dim < 1:
@@ -178,7 +156,6 @@ def load_bundle(manifest_path) -> TannerCode:
 
 __all__ = [
     "TannerCode",
-    "Restriction",
     "corrupt",
     "write_bundle",
     "load_bundle",

@@ -78,7 +78,9 @@ def reference_votes(code: TannerCode, params, x: BitVector):
     targets = {}
     votes: Counter[int] = Counter()
     for u in range(code.graph.n_right):
-        r_bits = code.restriction(u).extract_bits(x)
+        r_bits = 0
+        for j, v in enumerate(code.graph.right_adj[u]):
+            r_bits |= x.bit(v) << j
         decoded = code.inner.decode_bounded(BitVector(code.inner.d, r_bits))
         if decoded is None:
             continue
@@ -171,20 +173,41 @@ class TestEasyFlip:
             tf.easy_flip(st, 3)
 
 
+def deep_flip(state: tf.DecodeState, seq) -> bool:
+    """Apply easy_flip per entry of seq with a shrink check after each step;
+    the step of the scan oracle that hard_search is checked against.
+
+    Returns False (pruned) as soon as the unsatisfied count exceeds
+    params.prune_bounds[k] after step k, True if the whole sequence ran; this
+    is the pruning hard_search applies, on the same floats. Steps beyond s0
+    continue the bounds' recurrence. The state keeps the branch-end word
+    either way; callers can rewind via restore_baseline().
+    """
+    params = state.params
+    bounds = params.prune_bounds
+    bound = bounds[0]
+    for k, m in enumerate(seq, 1):
+        tf.easy_flip(state, m)
+        bound = bounds[k] if k <= params.s0 else bound * (1.0 - params.eps3)
+        if state.unsat_count > bound:
+            return False
+    return True
+
+
 class TestDeepFlip:
     def test_good_branch_completes(self, k32_code, k32_params):
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("100"))
-        assert tf.deep_flip(st, [2]) is True
+        assert deep_flip(st, [2]) is True
         assert st.x_vector().to_text() == "000"
         assert st.unsat_count == 0
 
     def test_stalled_branch_pruned(self, k32_code, k32_params):
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("100"))
-        assert tf.deep_flip(st, [1]) is False
+        assert deep_flip(st, [1]) is False
 
     def test_codeword_never_pruned(self, k32_code, k32_params):
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("111"))
-        assert tf.deep_flip(st, [1, 2, 1, 2]) is True
+        assert deep_flip(st, [1, 2, 1, 2]) is True
         assert st.x_vector().to_text() == "111"
 
     def test_prunes_on_the_walks_bounds(self, k32_code, k32_params):
@@ -196,9 +219,9 @@ class TestDeepFlip:
         assert params.prune_bounds[3] == 2.0
         st = tf.DecodeState(k32_code, params, BitVector.from_text("100"))
         assert st.unsat_count == 2 and not st.buckets[1]
-        assert tf.deep_flip(st, [1, 1, 1]) is True
+        assert deep_flip(st, [1, 1, 1]) is True
         # a step beyond s0 continues the recurrence, to 1.4
-        assert tf.deep_flip(st, [1, 1, 1, 1]) is False
+        assert deep_flip(st, [1, 1, 1, 1]) is False
 
     def test_restoration_exact(self, big_code, big_params):
         truth = BitVector.zeros(big_code.n)
@@ -207,7 +230,7 @@ class TestDeepFlip:
             x = corrupt(truth, 12, seed=80 + trial)
             st = tf.DecodeState(big_code, big_params, x)
             seq = [rng.randint(1, big_code.graph.c) for _ in range(5)]
-            tf.deep_flip(st, seq)
+            deep_flip(st, seq)
             # the flip record plus the current word recovers the input
             recorded = BitVector.from_indices(big_code.n, st.flip_record)
             assert (st.x_vector() ^ recorded) == x
@@ -266,7 +289,7 @@ def scan_commit(code, params, x: BitVector) -> BitVector | None:
     state = tf.DecodeState(code, params, x)
     limit = params.eps4 * state.unsat_count
     for seq in itertools.product(range(1, code.graph.c + 1), repeat=params.s0):
-        if tf.deep_flip(state, seq) and state.unsat_count <= limit:
+        if deep_flip(state, seq) and state.unsat_count <= limit:
             return state.x_vector()
         state.restore_baseline()
     return None
@@ -339,51 +362,55 @@ def test_no_op_chain_is_one_frame(big_code, big_params):
     assert 1 <= st.ops.nodes - before.nodes <= 4
 
 
-# Decodes on the n=2000 fixture, recorded with the level-by-level walk:
-# (weight, corrupt seed, outcome, unsat_per_round). The radius is 3.
+# Decodes on the n=2000 fixture: (weight, corrupt seed, outcome,
+# unsat_per_round, (checks, inner_decodes, flips, nodes)). Outcomes and
+# unsat_per_round were recorded with the level-by-level walk, the counters
+# with the chain-collapsing walk. The radius is 3.
 PINNED_DECODES = [
-    (1, 1, "codeword", [12, 0]),
-    (1, 2, "codeword", [12, 0]),
-    (1, 3, "codeword", [12, 0]),
-    (2, 1, "codeword", [24, 0]),
-    (2, 2, "codeword", [24, 0]),
-    (2, 3, "codeword", [24, 0]),
-    (3, 1, "codeword", [36, 0]),
-    (3, 2, "codeword", [36, 0]),
-    (3, 3, "codeword", [36, 0]),
-    (4, 1, "codeword", [48, 0]),
-    (4, 2, "codeword", [48, 0]),
-    (4, 3, "codeword", [48, 0]),
-    (5, 1, "codeword", [60, 0]),
-    (5, 2, "codeword", [60, 0]),
-    (5, 3, "codeword", [60, 0]),
-    (6, 1, "codeword", [71, 0]),
-    (6, 2, "codeword", [72, 0]),
-    (6, 3, "codeword", [72, 0]),
-    (7, 1, "codeword", [82, 0]),
-    (7, 2, "codeword", [83, 0]),
-    (7, 3, "codeword", [84, 0]),
-    (8, 1, "no_acceptable_branch", [93]),
-    (8, 2, "codeword", [95, 0]),
-    (8, 3, "codeword", [96, 0]),
-    (9, 1, "no_acceptable_branch", [105]),
-    (9, 2, "codeword", [106, 0]),
-    (9, 3, "codeword", [106, 0]),
-    (12, 1, "no_acceptable_branch", [140]),
-    (12, 2, "no_acceptable_branch", [141]),
-    (12, 3, "no_acceptable_branch", [141]),
+    (1, 1, "codeword", [12, 0], (3012, 3012, 1, 4)),
+    (1, 2, "codeword", [12, 0], (3012, 3012, 1, 4)),
+    (1, 3, "codeword", [12, 0], (3012, 3012, 1, 4)),
+    (2, 1, "codeword", [24, 0], (3024, 3024, 2, 3)),
+    (2, 2, "codeword", [24, 0], (3024, 3024, 2, 3)),
+    (2, 3, "codeword", [24, 0], (3024, 3024, 2, 3)),
+    (3, 1, "codeword", [36, 0], (3036, 3036, 3, 3)),
+    (3, 2, "codeword", [36, 0], (3036, 3036, 3, 3)),
+    (3, 3, "codeword", [36, 0], (3036, 3036, 3, 3)),
+    (4, 1, "codeword", [48, 0], (3048, 3048, 4, 2)),
+    (4, 2, "codeword", [48, 0], (3048, 3048, 4, 2)),
+    (4, 3, "codeword", [48, 0], (3048, 3048, 4, 2)),
+    (5, 1, "codeword", [60, 0], (3060, 3060, 5, 2)),
+    (5, 2, "codeword", [60, 0], (3060, 3060, 5, 2)),
+    (5, 3, "codeword", [60, 0], (3060, 3060, 5, 2)),
+    (6, 1, "codeword", [71, 0], (3117, 3117, 10, 4)),
+    (6, 2, "codeword", [72, 0], (3072, 3072, 6, 2)),
+    (6, 3, "codeword", [72, 0], (3072, 3072, 6, 2)),
+    (7, 1, "codeword", [82, 0], (3156, 3156, 13, 6)),
+    (7, 2, "codeword", [83, 0], (3129, 3129, 11, 4)),
+    (7, 3, "codeword", [84, 0], (3084, 3084, 7, 2)),
+    (8, 1, "no_acceptable_branch", [93], (3190, 3190, 16, 1)),
+    (8, 2, "codeword", [95, 0], (3141, 3141, 12, 4)),
+    (8, 3, "codeword", [96, 0], (3096, 3096, 8, 2)),
+    (9, 1, "no_acceptable_branch", [105], (3214, 3214, 18, 1)),
+    (9, 2, "codeword", [106, 0], (3180, 3180, 15, 6)),
+    (9, 3, "codeword", [106, 0], (3180, 3180, 15, 6)),
+    (12, 1, "no_acceptable_branch", [140], (3284, 3284, 24, 1)),
+    (12, 2, "no_acceptable_branch", [141], (3286, 3286, 24, 1)),
+    (12, 3, "no_acceptable_branch", [141], (3288, 3288, 24, 1)),
 ]
 
 
 def test_pinned_decodes(big_code, big_params):
     zero = BitVector.zeros(big_code.n)
-    for weight, seed, outcome, unsat in PINNED_DECODES:
+    for weight, seed, outcome, unsat, ops in PINNED_DECODES:
         report = tf.DecodeReport()
         try:
             out = tf.main_decode(big_code, big_params, corrupt(zero, weight, seed=seed), report=report)
         except tf.NoAcceptableBranch:
             out = None
         assert (report.outcome, report.unsat_per_round) == (outcome, unsat), (weight, seed)
+        c = report.ops
+        assert (c.checks, c.inner_decodes, c.flips, c.nodes) == ops, (weight, seed)
         assert (out == zero) if outcome == "codeword" else out is None
 
 
@@ -440,6 +467,11 @@ class TestMainDecode:
         assert payload["outcome"] == "codeword"
         assert payload["inner_decodes"] == report.ops.inner_decodes
         assert payload["nodes"] == report.ops.nodes
+        # ell is 0, so the closing pass alone decodes: it reads constraint 0
+        # (one check, one inner decode), flips vertex 0 and re-examines both
+        # constraints, on top of the 2 checks of the set-up pass
+        ops = report.ops
+        assert (ops.checks, ops.inner_decodes, ops.flips, ops.nodes) == (5, 5, 1, 0)
 
     def test_decode_at_radius_big(self, big_code, big_params):
         truth = BitVector.zeros(big_code.n)

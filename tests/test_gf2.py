@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tannerflip.gf2 import BitMatrix, BitVector, add, mat_vec_mul, nullspace_basis, rref
 
@@ -169,3 +169,17 @@ def test_bitvector_basics():
         BitVector.from_indices(3, [3])
     with pytest.raises(ValueError):
         BitVector.from_text("01x")
+
+
+@given(vectors)
+@example(BitVector(0, 0))
+@example(BitVector(70, (1 << 70) - 1))
+@example(BitVector(97, 0x1_5A5A_0F0F_F0F0_3C3C_C3C3_9669))
+def test_text_and_byte_word_round_trip(v):
+    text = v.to_text()
+    assert text == "".join(str(v.bit(i)) for i in range(v.n))
+    assert BitVector.from_text(text) == v
+    word = v.to_bytes01()
+    assert word == bytes(v.bit(i) for i in range(v.n))
+    assert BitVector.from_bytes01(word) == v
+    assert BitVector.from_bytes01(bytearray(word)) == v

@@ -23,6 +23,14 @@ def k32_rep3() -> TannerCode:
     return TannerCode(gen_random_biregular(2, 3, 3, seed=0), repetition_code(3))
 
 
+@pytest.fixture(scope="module")
+def dim_zero_code() -> TannerCode:
+    # every constraint of this graph is a distinct 3-subset of the 4 left
+    # vertices, and the odd-length parity code lacks the all-ones word,
+    # so the only codeword is zero
+    return TannerCode(gen_random_biregular(3, 3, 4, seed=0), parity_check_code(3))
+
+
 class TestConstruction:
     def test_k32_rep3_dimension(self, k32_rep3):
         assert k32_rep3.dim == 1
@@ -83,14 +91,10 @@ class TestBruteForce:
     def test_k32_min_distance(self, k32_rep3):
         assert k32_rep3.min_distance_bruteforce() == 3
 
-    def test_dim_zero_rejected(self):
-        # every constraint of this graph is a distinct 3-subset of the 4 left
-        # vertices, and the odd-length parity code lacks the all-ones word,
-        # so the only codeword is zero
-        code = TannerCode(gen_random_biregular(3, 3, 4, seed=0), parity_check_code(3))
-        assert code.dim == 0
+    def test_dim_zero_rejected(self, dim_zero_code):
+        assert dim_zero_code.dim == 0
         with pytest.raises(ValueError):
-            code.min_distance_bruteforce()
+            dim_zero_code.min_distance_bruteforce()
 
     def test_dim_guard(self):
         code = TannerCode(blocks_graph(25, 3), repetition_code(3))
@@ -116,15 +120,16 @@ class TestBruteForce:
         assert best.to_text() == "0000"
 
 
-def test_three_way_membership_agreement(k32_rep3):
-    codes = [
-        k32_rep3,
-        TannerCode(blocks_graph(2, 4), parity_check_code(4)),
-        TannerCode(gen_random_biregular(3, 6, 12, seed=9), parity_check_code(6)),
+def test_three_way_membership_agreement(k32_rep3, big_code):
+    cases = [
+        (k32_rep3, 50),
+        (TannerCode(blocks_graph(2, 4), parity_check_code(4)), 50),
+        (TannerCode(gen_random_biregular(3, 6, 12, seed=9), parity_check_code(6)), 50),
+        (big_code, 20),
     ]
     rng = random.Random(0)
-    for code in codes:
-        for _ in range(50):
+    for code, words in cases:
+        for _ in range(words):
             x = BitVector(code.n, rng.getrandbits(code.n))
             via_constraints = code.is_codeword(x)
             via_unsat = not code.unsatisfied(x)
@@ -132,11 +137,17 @@ def test_three_way_membership_agreement(k32_rep3):
             assert via_constraints == via_unsat == via_matrix
 
 
-def test_dim_matches_rank(k32_rep3):
+@pytest.mark.parametrize(
+    "fixture", ["k32_rep3", "k32_code", "small_expander_code", "dim_zero_code"]
+)
+def test_dim_matches_rank(request, fixture):
     from tannerflip.gf2 import rref
 
-    _, rank, _ = rref(k32_rep3.global_h)
-    assert k32_rep3.dim == k32_rep3.n - rank
+    code = request.getfixturevalue(fixture)
+    if isinstance(code, tuple):  # small_expander_code also carries params
+        code = code[0]
+    _, rank, _ = rref(code.global_h)
+    assert code.dim == len(code.generator) == code.n - rank
 
 
 def test_nonzero_codeword_weights_bounded_below(k32_rep3):
@@ -180,6 +191,7 @@ def test_bundle_rejects_bad_manifest(tmp_path):
 
 
 def test_restriction_extract(k32_rep3):
-    r = k32_rep3.restriction(0)
-    assert r.coords == (0, 1, 2)
-    assert r.extract_bits(BitVector.from_text("101")) == 0b101
+    assert k32_rep3.graph.right_adj[0] == (0, 1, 2)
+    for kind in (bytes, bytearray):
+        assert k32_rep3.read_restriction(kind(b"\x01\x00\x01"), 0) == 0b101
+        assert k32_rep3.read_restriction(kind(b"\x01\x01\x00"), 0) == 0b011
