@@ -9,12 +9,15 @@ lexicographic order until one cuts the unsatisfied count by a fixed factor.
 The top layer repeats the search until no constraint is unsatisfied, then
 finishes with one bounded-distance pass of the inner decoder.
 
-All state updates are incremental: flipping a variable re-examines only the
-adjacent constraints. The search walk collapses each chain of empty-bucket
-(no-op) levels into one frame, so a search call costs its real bucket flips
-plus O(c + log s0) per chain, rather than one step per level of the s0-deep
-sequence tree. Operation counters record every check, inner decode, bit flip
-and search node for the cost-contract tests.
+Set-up is one whole-word syndrome pass over the input
+(`TannerCode.failing_constraints`) plus an examination of each failing
+constraint; it is counted as one check and one inner decode per constraint.
+After that, all state updates are incremental: flipping a variable
+re-examines only the adjacent constraints. The search walk collapses each
+chain of empty-bucket (no-op) levels into one frame, so a search call costs
+its real bucket flips plus O(c + log s0) per chain, rather than one step per
+level of the s0-deep sequence tree. Operation counters record every check,
+inner decode, bit flip and search node for the cost-contract tests.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def derive_params(
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class OpCounters:
     """Work counters; `nodes` counts the levels hard_search's walk stands on
     to try digits, plus each leaf it decides."""
@@ -166,6 +169,12 @@ class DecodeState:
     `buckets[m]` holds the variables with exactly m votes. `flip_record` holds
     the coordinates where the word differs from the last committed baseline,
     so the baseline is recoverable by re-flipping it.
+
+    Set-up runs the code's whole-word syndrome pass on the input and examines
+    only the constraints it reports failing: a passing constraint has coset
+    leader 0 and sends no vote, which are the initial entries. Set-up is
+    still charged one check and one inner decode per constraint, since the
+    pass reads and checks every one of them.
     """
 
     def __init__(self, code: TannerCode, params: DecoderParams, x: BitVector) -> None:
@@ -189,8 +198,9 @@ class DecodeState:
         self.senders = 0
         self.flip_record: set[int] = set()
         self.ops = OpCounters()
-        for u in range(graph.n_right):
+        for u in code.failing_constraints(self.x):
             self._examine(u)
+        self.ops.checks = self.ops.inner_decodes = graph.n_right
 
     @property
     def unsat_count(self) -> int:
@@ -429,7 +439,7 @@ class _Chain:
         self.reach: list[int | None] = [None] * (c + 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeReport:
     input_weight: int = 0
     rounds_used: int = 0

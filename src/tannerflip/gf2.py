@@ -9,9 +9,10 @@ _DIGITS_OF_BYTES = bytes.maketrans(b"\x00\x01", b"01")
 _BYTES_OF_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitVector:
-    """Immutable GF(2) vector of fixed length, packed into a single int."""
+    """Immutable GF(2) vector of fixed length, packed into a single int.
+    Slotted: callers keep many of them (received and decoded words)."""
 
     n: int
     bits: int

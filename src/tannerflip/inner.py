@@ -1,9 +1,10 @@
 """Inner linear code with bounded-distance syndrome decoding.
 
 The code is defined by a parity-check matrix over GF(2). Construction
-brute-forces the minimum distance and builds a complete syndrome -> coset
-leader table out to the guaranteed correction radius, so membership checks
-and bounded-distance decoding are table lookups.
+brute-forces the minimum distance, tabulates the syndrome of every 8-bit chunk
+of a word, and builds a complete syndrome -> coset leader table out to the
+guaranteed correction radius, so membership checks and bounded-distance
+decoding are table lookups.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class InnerCode:
         self.h = h
         self.g = BitMatrix(self.k0, self.d, tuple(v.bits for v in g_rows))
         self.radius = (d0 - 1) // 2
-        self._h_rows = h.row_bits
+        self._chunk_syndromes = _chunk_syndrome_tables(h)
         self.syndrome_table = self._build_syndrome_table()
 
     @classmethod
@@ -63,10 +64,15 @@ class InnerCode:
         return table
 
     def syndrome_bits(self, word_bits: int) -> int:
+        """Syndrome of a packed d-bit word: bit i is the parity of row i of h
+        on the word. One table lookup per 8-bit chunk, XORed."""
+        tables = self._chunk_syndromes
+        if len(tables) == 1:
+            return tables[0][word_bits]
         syn = 0
-        for i, row in enumerate(self._h_rows):
-            if (row & word_bits).bit_count() & 1:
-                syn |= 1 << i
+        for table in tables:
+            syn ^= table[word_bits & 0xFF]
+            word_bits >>= 8
         return syn
 
     def check(self, w: BitVector) -> bool:
@@ -124,6 +130,23 @@ class InnerCode:
                 raise ValueError("matrix rows must be d characters of 0/1")
             rows.append([1 if ch == "1" else 0 for ch in ln])
         return cls.from_parity_check(BitMatrix.from_rows(rows))
+
+
+def _chunk_syndrome_tables(h: BitMatrix) -> tuple[tuple[int, ...], ...]:
+    """tables[k][w] is the syndrome of the word whose bits 8k..8k+7 are w."""
+    column_syndromes = [0] * (8 * -(-h.cols // 8))
+    for i, row in enumerate(h.row_bits):
+        for j in range(h.cols):
+            if (row >> j) & 1:
+                column_syndromes[j] |= 1 << i
+    tables = []
+    for k in range(0, len(column_syndromes), 8):
+        table = [0] * 256
+        for w in range(1, 256):
+            low = w & -w
+            table[w] = table[w ^ low] ^ column_syndromes[k + low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _min_weight(g_rows: list[BitVector]) -> int:

@@ -14,7 +14,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .gf2 import BitVector
@@ -203,6 +202,10 @@ def run_sweep(
     ]
     threads = worker_count(os.environ.get("TANNER_THREADS"), len(jobs))
     if threads > 1:
+        # imported here: multiprocessing adds ~2 MB to every process that
+        # imports tannerflip, and only a parallel sweep needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_worker, jobs, chunksize=8))
     else:

@@ -40,6 +40,17 @@ def two_block_inner_6_3() -> tf.InnerCode:
     )
 
 
+def wide_inner_12_6_4() -> tf.InnerCode:
+    """[12,6,4] code with parity checks [I | circulant(110100)]: its words
+    span two 8-bit chunks."""
+    row = [1, 1, 0, 1, 0, 0]
+    return tf.InnerCode.from_parity_check(
+        BitMatrix.from_rows(
+            [[int(j == i) for j in range(6)] + row[6 - i :] + row[: 6 - i] for i in range(6)]
+        )
+    )
+
+
 @pytest.fixture(scope="session")
 def k32_code() -> tf.TannerCode:
     """The unique simple (2,3)-biregular graph on 3+2 vertices, repetition inner."""

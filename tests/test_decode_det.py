@@ -15,7 +15,7 @@ from tannerflip.graphs import BipartiteGraph, gen_random_biregular
 from tannerflip.inner import parity_check_code, repetition_code
 from tannerflip.tanner import TannerCode, corrupt
 
-from conftest import ext_hamming_inner
+from conftest import ext_hamming_inner, wide_inner_12_6_4
 
 
 def blocks_graph(blocks: int, d: int) -> BipartiteGraph:
@@ -104,6 +104,18 @@ def assert_state_consistent(state: tf.DecodeState, code, params):
     assert state.senders == len(targets)
 
 
+def reference_setup(code: TannerCode, params, x: BitVector) -> tf.DecodeState:
+    """The set-up as one _examine per constraint, ascending. It starts from a
+    state over the zero word, a codeword whose bookkeeping is the initial
+    one."""
+    st = tf.DecodeState(code, params, BitVector.zeros(code.n))
+    st.x[:] = x.to_bytes01()
+    st.ops = tf.OpCounters()
+    for u in range(code.graph.n_right):
+        st._examine(u)
+    return st
+
+
 class TestDecodeState:
     def test_initial_bookkeeping(self, k32_code, k32_params):
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("100"))
@@ -127,6 +139,27 @@ class TestDecodeState:
             for m in (1, 2, 1):
                 tf.easy_flip(st, m)
                 assert_state_consistent(st, k32_code, k32_params)
+
+    def test_setup_matches_examining_every_constraint(
+        self, k32_code, k32_params, big_code, big_params
+    ):
+        wide = TannerCode(gen_random_biregular(3, 12, 48, seed=0), wide_inner_12_6_4())
+        wide_params = tf.derive_params(c=3, d=12, alpha=0.25, delta=0.8, d0=4, n=48)
+        rng = random.Random(13)
+        cases = [(k32_code, k32_params, BitVector(3, bits)) for bits in range(8)]
+        for code, params in ((big_code, big_params), (wide, wide_params)):
+            zero = BitVector.zeros(code.n)
+            cases += [(code, params, corrupt(zero, w, seed=w)) for w in (0, 1, 3, 40)]
+            cases.append((code, params, BitVector(code.n, rng.getrandbits(code.n))))
+        for code, params, x in cases:
+            st = tf.DecodeState(code, params, x)
+            ref = reference_setup(code, params, x)
+            assert st.unsat == ref.unsat
+            assert st.targets == ref.targets
+            assert st.votes == ref.votes
+            assert st.buckets == ref.buckets
+            assert st.senders == ref.senders
+            assert st.ops == ref.ops
 
     def test_param_length_mismatch(self, k32_code):
         p = tf.derive_params(c=2, d=3, alpha=1 / 3, delta=1.0, d0=3, n=6)
@@ -453,8 +486,17 @@ class TestMainDecode:
         # closing pass alone finishes the job even with zero search rounds
         code = TannerCode(blocks_graph(4, 8), ext_hamming_inner())
         params = tf.derive_params(c=1, d=8, alpha=0.25, delta=1.0, d0=4, n=32)
+        params = dataclasses.replace(params, ell=0)
         x = BitVector.from_indices(32, [0, 9, 17, 30])
-        assert tf.main_decode(code, params, x) == BitVector.zeros(32)
+        report = tf.DecodeReport()
+        assert tf.main_decode(code, params, x, report=report) == BitVector.zeros(32)
+        assert report.rounds_used == 0
+        assert report.unsat_per_round == [4]
+        assert report.outcome == "codeword"
+        # 4 set-up checks, then per block one closing read and one
+        # re-examination after its flip
+        ops = report.ops
+        assert (ops.checks, ops.inner_decodes, ops.flips, ops.nodes) == (12, 12, 4, 0)
 
     def test_report_fields(self, k32_code, k32_params):
         report = tf.DecodeReport()

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tannerflip.decode_det import DecodeReport
 from tannerflip.gf2 import BitMatrix, BitVector, add, mat_vec_mul, nullspace_basis, rref
 
 
@@ -183,3 +186,12 @@ def test_text_and_byte_word_round_trip(v):
     assert word == bytes(v.bit(i) for i in range(v.n))
     assert BitVector.from_bytes01(word) == v
     assert BitVector.from_bytes01(bytearray(word)) == v
+
+
+def test_pickle_round_trip():
+    # sweeps send codes, with their generator words, to worker processes
+    v = BitVector(70, (1 << 69) | 5)
+    assert pickle.loads(pickle.dumps(v)) == v
+    report = DecodeReport(input_weight=2, unsat_per_round=[4, 0], outcome="codeword")
+    report.ops.flips = 3
+    assert pickle.loads(pickle.dumps(report)) == report

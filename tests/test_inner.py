@@ -7,6 +7,8 @@ import pytest
 from tannerflip.gf2 import BitMatrix, BitVector
 from tannerflip.inner import InnerCode, parity_check_code, repetition_code
 
+from conftest import ext_hamming_inner, two_block_inner_6_3, wide_inner_12_6_4
+
 
 def hamming_7_4() -> InnerCode:
     # columns are the nonzero vectors of F_2^3
@@ -133,6 +135,27 @@ class TestEnumerate:
         assert len({w.bits for w in words}) == 16
         assert all(code.check(w) for w in words)
         assert sorted(w.bits for w in words) == brute_force_codewords(code)
+
+
+def row_loop_syndrome(code: InnerCode, word_bits: int) -> int:
+    """Reference: bit i is the parity of parity-check row i on the word."""
+    syn = 0
+    for i, row in enumerate(code.h.row_bits):
+        if (row & word_bits).bit_count() & 1:
+            syn |= 1 << i
+    return syn
+
+
+@pytest.mark.parametrize(
+    "make",
+    [ext_hamming_inner, lambda: repetition_code(3), two_block_inner_6_3, wide_inner_12_6_4],
+    ids=["ext_hamming_8_4_4", "repetition_3", "two_block_6_2_3", "wide_12_6_4"],
+)
+def test_chunk_syndromes_match_row_loop(make):
+    code = make()
+    assert len(code._chunk_syndromes) == -(-code.d // 8)
+    for w in range(1 << code.d):
+        assert code.syndrome_bits(w) == row_loop_syndrome(code, w)
 
 
 def test_check_iff_decode_fixed_point():

@@ -10,7 +10,7 @@ from tannerflip.graphs import BipartiteGraph, gen_random_biregular
 from tannerflip.inner import parity_check_code, repetition_code
 from tannerflip.tanner import TannerCode, corrupt, load_bundle, write_bundle
 
-from conftest import ext_hamming_inner
+from conftest import ext_hamming_inner, wide_inner_12_6_4
 
 
 def blocks_graph(blocks: int, d: int) -> BipartiteGraph:
@@ -135,6 +135,47 @@ def test_three_way_membership_agreement(k32_rep3, big_code):
             via_unsat = not code.unsatisfied(x)
             via_matrix = mat_vec_mul(code.global_h, x).bits == 0
             assert via_constraints == via_unsat == via_matrix
+
+
+@pytest.fixture(scope="module")
+def blocks_4_8() -> TannerCode:
+    return TannerCode(blocks_graph(4, 8), ext_hamming_inner())
+
+
+@pytest.fixture(scope="module")
+def one_constraint() -> TannerCode:
+    return TannerCode(gen_random_biregular(1, 8, 8, seed=0), ext_hamming_inner())
+
+
+@pytest.fixture(scope="module")
+def wide_code() -> TannerCode:
+    return TannerCode(gen_random_biregular(3, 12, 48, seed=0), wide_inner_12_6_4())
+
+
+@pytest.mark.parametrize(
+    "fixture", ["k32_rep3", "big_code", "blocks_4_8", "one_constraint", "wide_code"]
+)
+def test_whole_word_pass_matches_references(request, fixture):
+    """failing_constraints against one read per constraint and against the
+    rows of global_h, on dense random and sparse words."""
+    code = request.getfixturevalue(fixture)
+    n, m, r = code.n, code.graph.n_right, code.inner.h.rows
+    rng = random.Random(5)
+    words = [bytes(n), bytes([1]) * n]
+    words += [bytes(rng.getrandbits(1) for _ in range(n)) for _ in range(6)]
+    for weight in (1, 2, 3, 9):
+        word = bytearray(n)
+        for v in rng.sample(range(n), min(weight, n)):
+            word[v] = 1
+        words.append(word)
+    for word in words:
+        per_constraint = [
+            u for u in range(m)
+            if code.inner.syndrome_bits(code.read_restriction(word, u))
+        ]
+        syndrome = mat_vec_mul(code.global_h, BitVector.from_bytes01(word)).bits
+        via_global_h = [u for u in range(m) if (syndrome >> (u * r)) & ((1 << r) - 1)]
+        assert code.failing_constraints(word) == per_constraint == via_global_h
 
 
 @pytest.mark.parametrize(
