@@ -245,7 +245,6 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         decoder=args.decoder,
         seed=args.seed,
-        zero_codeword=args.zero_codeword,
         rand_eps=args.eps,
         rand_max_iters=args.max_iters,
     )
@@ -347,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--decoder", choices=["det", "rand"], default="det")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zero-codeword", action="store_true")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--out", help="CSV output path")

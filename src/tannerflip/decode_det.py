@@ -89,6 +89,9 @@ def derive_params(
     eps1: float | None = None,
 ) -> DecoderParams:
     """Instantiate the decoding schedule for a (c,d,alpha,delta) expander."""
+    for name, size in (("c", c), ("d", d), ("n", n)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
     if not 0 < alpha <= 1:

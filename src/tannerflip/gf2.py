@@ -133,15 +133,6 @@ class BitMatrix:
     def identity(cls, n: int) -> BitMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    def row(self, i: int) -> int:
-        return self.row_bits[i]
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
-    def iter_rows(self) -> Iterator[int]:
-        return iter(self.row_bits)
-
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
 

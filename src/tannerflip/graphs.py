@@ -54,13 +54,6 @@ class BipartiteGraph:
             out.append(mask)
         return tuple(out)
 
-    def neighbor_count(self, left_set) -> int:
-        mask = 0
-        masks = self.left_masks
-        for v in left_set:
-            mask |= masks[v]
-        return mask.bit_count()
-
     def to_text(self) -> str:
         lines = [f"{self.c} {self.d} {self.n_left} {self.n_right}"]
         for nb in self.left_adj:

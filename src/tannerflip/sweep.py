@@ -1,5 +1,11 @@
 """Seeded experiment sweeps: corrupt, decode, score, report.
 
+Every trial corrupts the zero codeword. Both decoders read the received word
+only through syndromes, so decoding truth ^ e gives truth ^ decode(e) with the
+same report, and a random codeword would measure nothing more (the invariance
+is pinned in tests/test_syndrome_only.py). So a row's dist_to_truth is the
+weight of the decoded word, and a sweep never computes the generator matrix.
+
 Every trial is a pure function of (root seed, weight, trial index), so sweep
 reports are bitwise reproducible. Trials may run in worker processes when
 TANNER_THREADS asks for more than one (a positive integer, clamped to the
@@ -12,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -52,7 +57,6 @@ class ExperimentConfig:
     trials: int
     decoder: str = "det"  # "det" | "rand"
     seed: int = 0
-    zero_codeword: bool = False
     rand_eps: float | None = None
     rand_max_iters: int | None = None
 
@@ -125,14 +129,6 @@ class SweepReport:
         return json.dumps([r.to_dict() for r in self.rows], separators=(",", ":"))
 
 
-def _sample_truth(code: TannerCode, config: ExperimentConfig, trial_seed: int) -> BitVector:
-    if config.zero_codeword or code.dim == 0:
-        return BitVector.zeros(code.n)
-    rng = random.Random(derive_seed(trial_seed, 1))
-    msg = BitVector(code.dim, rng.getrandbits(code.dim))
-    return code.encode(msg)
-
-
 def run_trial(
     code: TannerCode,
     params: DecoderParams,
@@ -141,7 +137,7 @@ def run_trial(
     trial: int,
 ) -> SweepRow:
     trial_seed = derive_seed(config.seed, weight, trial)
-    truth = _sample_truth(code, config, trial_seed)
+    truth = BitVector.zeros(code.n)
     received = corrupt(truth, weight, derive_seed(trial_seed, 2))
     det_report = DecodeReport()
     rand_report = None

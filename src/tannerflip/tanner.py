@@ -11,8 +11,8 @@ in each inner parity-check row's support and ORs the rows, so byte u of the
 result is 1 exactly when constraint u fails (bytes hold 0/1, so nothing
 carries).
 Global parity checks, the generator basis (one elimination, which also gives
-`dim`), and the brute-force oracles are computed lazily; decoding never needs
-them.
+`dim`), and the brute-force oracles are computed lazily; decoding and sweeps
+never need them.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,15 @@ from tannerflip.sweep import (
     run_sweep,
     worker_count,
 )
+
+from conftest import ext_hamming_inner
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def without_wall_ms(rows) -> list[dict]:
+    """Rows minus the wall-clock column, which alone is not a function of seeds."""
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in rows]
 
 
 @pytest.fixture()
@@ -57,30 +69,35 @@ class TestSweep:
         assert parsed.rows == report.rows
 
     def test_reproducible_up_to_timing(self, k32_code, k32_params):
-        # everything except the wall-clock column is a pure function of seeds
         config = ExperimentConfig(weights=(1,), trials=5, seed=5)
         a = run_sweep(k32_code, k32_params, config)
         b = run_sweep(k32_code, k32_params, config)
-        strip_time = lambda rows: [
-            {k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in rows
-        ]
-        assert strip_time(a.rows) == strip_time(b.rows)
+        assert without_wall_ms(a.rows) == without_wall_ms(b.rows)
 
     def test_parallel_matches_sequential(self, k32_code, k32_params, monkeypatch):
         config = ExperimentConfig(weights=(0, 1), trials=3, seed=6)
         seq = run_sweep(k32_code, k32_params, config)
         monkeypatch.setenv("TANNER_THREADS", "2")
         par = run_sweep(k32_code, k32_params, config)
-        strip = lambda rows: [
-            {k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in rows
-        ]
-        assert strip(seq.rows) == strip(par.rows)
+        assert without_wall_ms(seq.rows) == without_wall_ms(par.rows)
 
     def test_rows_count_search_nodes(self, big_code, big_params):
-        config = ExperimentConfig(weights=(2,), trials=2, seed=8, zero_codeword=True)
+        config = ExperimentConfig(weights=(2,), trials=2, seed=8)
         report = run_sweep(big_code, big_params, config)
         assert all(row.success and row.nodes >= 1 for row in report.rows)
         assert parse_csv(report.to_csv()).rows == report.rows
+
+    def test_no_generator_and_parallel_matches_sequential(self, big_params, monkeypatch):
+        # a fresh code: the session's big_code may have computed its generator
+        code = tf.TannerCode(tf.gen_random_biregular(12, 8, 2000, seed=1), ext_hamming_inner())
+        config = ExperimentConfig(weights=(6, 9), trials=12, seed=10, decoder="rand")
+        seq = run_sweep(code, big_params, config)
+        monkeypatch.setenv("TANNER_THREADS", "2")  # three chunks of 8 jobs
+        par = run_sweep(code, big_params, config)
+        assert len(seq.rows) == 24
+        assert without_wall_ms(seq.rows) == without_wall_ms(par.rows)
+        assert "generator" not in code.__dict__
+        assert "global_h" not in code.__dict__
 
     def test_rand_decoder_rows(self, k32_code, k32_params):
         config = ExperimentConfig(weights=(1,), trials=6, seed=7, decoder="rand")
@@ -272,6 +289,15 @@ class TestCli:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-5"), ("--c", "0"), ("--d", "0")])
+    def test_params_non_positive_size_exit_3(self, capsys, flag, value):
+        argv = ["params", "--c", "2", "--d", "3", "--alpha", "0.3", "--delta", "1",
+                "--d0", "3", "--n", "3"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {flag[2:]} must be at least 1, got {value}\n"
+
     def test_missing_code_args_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mindist"])
@@ -287,3 +313,17 @@ def test_word_file_input(tmp_path, k32_bundle, capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out.strip() == "000"
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every command of the README's CLI block exits 0, so the README cannot
+    name a subcommand or flag that no longer exists."""
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert len(commands) >= 10 and all(argv[0] == "tannerflip" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    # the block reads rep3.innercode but does not write it
+    (tmp_path / "rep3.innercode").write_text(tf.repetition_code(3).to_text())
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()

@@ -71,6 +71,15 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             tf.derive_params(c=2, d=3, alpha=1 / 3, delta=1.0, d0=3, n=3, eps1=0.1)
 
+    @pytest.mark.parametrize(
+        "field, size", [("c", 0), ("d", 0), ("n", 0), ("n", -5), ("c", -1)]
+    )
+    def test_non_positive_size_rejected(self, field, size):
+        args = dict(c=2, d=3, alpha=1 / 3, delta=1.0, d0=3, n=3)
+        args[field] = size
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
+            tf.derive_params(**args)
+
 
 def reference_votes(code: TannerCode, params, x: BitVector):
     """Recompute the voting state from definitions via decode_bounded."""
