@@ -196,6 +196,7 @@ def cmd_decode_rand(args) -> int:
                 "outcome": "abort" if isinstance(exc, RandomizedAbort) else "decode_failure",
                 "error": str(exc),
                 "unsat_trajectory": report.unsat_trajectory,
+                "report": json.loads(report.main.to_json_line()),
             },
             f"decode failed: {exc}",
         )
@@ -206,6 +207,7 @@ def cmd_decode_rand(args) -> int:
             "word": result.to_text(),
             "iterations": report.iterations,
             "unsat_trajectory": report.unsat_trajectory,
+            "report": json.loads(report.main.to_json_line()),
         },
         result.to_text(),
     )
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cli_dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "code", "x") is None and (
@@ -370,10 +372,6 @@ def cli_dispatch(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-def main(argv=None) -> int:
-    return cli_dispatch(argv)
 
 
 if __name__ == "__main__":

@@ -469,46 +469,43 @@ class DecodeReport:
 def main_decode(
     code: TannerCode,
     params: DecoderParams,
-    x: BitVector,
+    x: BitVector | DecodeState,
     report: DecodeReport | None = None,
 ) -> BitVector:
     """Full decode: search rounds until no constraint fails, then one
     ascending-order bounded-distance pass of the inner decoder, then a
     membership check. Raises DecodeFailure when the result is not a codeword.
+
+    `x` is the received word or, at the randomized hand-off, a DecodeState
+    built on this `code` and `params`; its counters keep running.
     """
-    state = DecodeState(code, params, x)
-    if report is not None:
-        report.input_weight = x.weight()
-        report.ops = state.ops
-        report.unsat_per_round = [state.unsat_count]
-        report.outcome = "failed"
-    rounds = 0
-    try:
-        for _ in range(params.ell):
-            if state.unsat_count == 0:
-                break
-            try:
-                hard_search(state)
-            except NoAcceptableBranch:
-                if report is not None:
-                    report.outcome = "no_acceptable_branch"
-                raise
-            rounds += 1
-            if report is not None:
-                report.unsat_per_round.append(state.unsat_count)
-        if state.unsat_count:
-            _final_inner_pass(state)
-        result = state.x_vector()
-        if state.unsat_count or not code.is_codeword(result):
-            if report is not None:
-                report.outcome = "residual_unsat"
-            raise DecodeFailure("output fails the membership check")
-        if report is not None:
-            report.outcome = "codeword"
-        return result
-    finally:
-        if report is not None:
-            report.rounds_used = rounds
+    state = x if isinstance(x, DecodeState) else DecodeState(code, params, x)
+    if state.code is not code or state.params is not params:
+        raise ValueError("state was built on another code or params")
+    report = report or DecodeReport()
+    report.input_weight = state.x.count(1)
+    report.ops = state.ops
+    report.rounds_used = 0
+    report.unsat_per_round = [state.unsat_count]
+    report.outcome = "failed"
+    for _ in range(params.ell):
+        if state.unsat_count == 0:
+            break
+        try:
+            hard_search(state)
+        except NoAcceptableBranch:
+            report.outcome = "no_acceptable_branch"
+            raise
+        report.rounds_used += 1
+        report.unsat_per_round.append(state.unsat_count)
+    if state.unsat_count:
+        _final_inner_pass(state)
+    result = state.x_vector()
+    if state.unsat_count or not code.is_codeword(result):
+        report.outcome = "residual_unsat"
+        raise DecodeFailure("output fails the membership check")
+    report.outcome = "codeword"
+    return result
 
 
 def _final_inner_pass(state: DecodeState) -> None:

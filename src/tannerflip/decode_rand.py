@@ -6,6 +6,9 @@ mismatching neighbor), then flips a random subset of the voted variables:
 a variable with m votes is kept with probability m/(2c). Draws are keyed by
 (seed, iteration, vertex) through a counter-based hash, so results are
 order-independent and bitwise reproducible.
+
+The word is set up once: one DecodeState runs the iterations and is handed,
+committed, to `main_decode`, so the report's counters cover both phases.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ def sample_flip_set(
 
 @dataclass
 class RandDecodeReport:
+    """`main` reports the deterministic phase, but `main.ops` counts the whole
+    decode from set-up on; after an abort it holds the randomized phase's."""
+
     iterations: int = 0
     unsat_trajectory: list[int] = field(default_factory=list)
     handed_off: bool = False
@@ -96,28 +102,27 @@ def randomized_decode(
     x: BitVector,
     report: RandDecodeReport | None = None,
 ) -> BitVector:
-    """Iterate sampled flipping until few constraints fail, then hand off to
-    the deterministic decoder. Raises RandomizedAbort when the budget runs
-    out; deterministic-decode failures propagate.
+    """Iterate sampled flipping until few constraints fail, then hand the
+    state off to the deterministic decoder. Raises RandomizedAbort when the
+    budget runs out; deterministic-decode failures propagate.
     """
     state = DecodeState(code, params, x)
     c = code.graph.c
     handoff = (params.delta - 1 / params.d0) * c * params.gamma * params.n
-    if report is not None:
-        report.unsat_trajectory = [state.unsat_count]
+    report = report or RandDecodeReport()
+    report.main.ops = state.ops
+    report.unsat_trajectory = [state.unsat_count]
     for iteration in range(1, config.max_iters + 1):
         picked = sample_flip_set(
             state.buckets, c, lambda v: vertex_draw(config.seed, iteration, v)
         )
         state.apply_flips(picked)
-        if report is not None:
-            report.iterations = iteration
-            report.unsat_trajectory.append(state.unsat_count)
+        report.iterations = iteration
+        report.unsat_trajectory.append(state.unsat_count)
         if state.unsat_count <= handoff:
-            if report is not None:
-                report.handed_off = True
-            sub_report = report.main if report is not None else None
-            return main_decode(code, params, state.x_vector(), report=sub_report)
+            report.handed_off = True
+            state.commit()
+            return main_decode(code, params, state, report=report.main)
     raise RandomizedAbort(f"no hand-off within {config.max_iters} iterations")
 
 

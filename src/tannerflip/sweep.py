@@ -140,15 +140,13 @@ def run_trial(
     truth = BitVector.zeros(code.n)
     received = corrupt(truth, weight, derive_seed(trial_seed, 2))
     det_report = DecodeReport()
-    rand_report = None
-    outcome = ""
+    rand_report = RandDecodeReport(main=det_report)
     start = time.monotonic()
     result = None
     try:
         if config.decoder == "det":
             result = main_decode(code, params, received, report=det_report)
         else:
-            rand_report = RandDecodeReport(main=det_report)
             rand_config = RandDecodeConfig.for_params(
                 params,
                 seed=derive_seed(trial_seed, 3),
@@ -162,7 +160,7 @@ def run_trial(
     except RandomizedAbort:
         outcome = "abort"
     except DecodeFailure:
-        outcome = det_report.outcome or "decode_failure"
+        outcome = det_report.outcome
     # stored at CSV precision; timing is diagnostic only, counters are the signal
     wall_ms = round((time.monotonic() - start) * 1000.0, 3)
     ops = det_report.ops
@@ -173,7 +171,7 @@ def run_trial(
         success=result == truth,
         dist_to_truth=result.distance(truth) if result is not None else -1,
         rounds=det_report.rounds_used,
-        rand_iters=rand_report.iterations if rand_report is not None else 0,
+        rand_iters=rand_report.iterations,
         checks=ops.checks,
         inner_decodes=ops.inner_decodes,
         flips=ops.flips,

@@ -202,15 +202,24 @@ class TestCli:
         )
         assert rc == 4
 
-    def test_decode_rand_cli(self, k32_bundle, capsys):
-        rc = main(
-            ["decode-rand", "--code", str(k32_bundle), "--word", "111",
-             "--alpha", "0.3333", "--delta", "1", "--seed", "5", "--json"]
-        )
+    def test_decode_rand_cli(self, k32_bundle, k32_code, capsys):
+        argv = ["decode-rand", "--code", str(k32_bundle), "--alpha", "0.3333",
+                "--delta", "1", "--json"]
+        rc = main(argv + ["--word", "111", "--seed", "5"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["word"] == "111"
         assert payload["unsat_trajectory"][0] == 0
+        assert payload["report"]["outcome"] == "codeword"
+        assert payload["report"]["checks"] >= k32_code.graph.n_right
+        # vertex 0 of "100" is kept with probability 1/2 in iteration 1
+        seed = next(s for s in range(100) if tf.decode_rand.vertex_draw(s, 1, 0) >= 0.5)
+        rc = main(argv + ["--word", "100", "--seed", str(seed), "--max-iters", "1"])
+        assert rc == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["outcome"] == "abort"
+        assert payload["report"]["outcome"] == ""
+        assert payload["report"]["checks"] >= k32_code.graph.n_right
 
     def test_encode_and_mindist(self, k32_bundle, capsys):
         assert main(["encode", "--code", str(k32_bundle), "--message", "1"]) == 0

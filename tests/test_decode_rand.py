@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import json
 import math
 import statistics
+from pathlib import Path
 
 import pytest
 
 import tannerflip as tf
+import tannerflip.decode_rand as decode_rand
 from tannerflip.gf2 import BitVector
+from tannerflip.decode_det import DecodeState
 from tannerflip.decode_rand import (
     RandDecodeConfig,
     RandomizedAbort,
@@ -182,3 +186,131 @@ def test_iterations_shrink_corruption(big_code, big_params):
                 reductions.append((before - after) / before)
     assert improved / total >= 0.9
     assert statistics.fmean(reductions) >= predicted
+
+
+def rand_decode_big(code, params, weight, seed, report):
+    """The randomized decode of pinned input (weight, seed) on the n=2000
+    fixture; None when it aborts."""
+    x = corrupt(BitVector.zeros(code.n), weight, seed=1000 * weight + seed)
+    cfg = RandDecodeConfig.for_params(params, seed=seed)
+    try:
+        return randomized_decode(code, params, cfg, x, report=report)
+    except RandomizedAbort:
+        return None
+
+
+# One line per decode: the word's 1-positions (null for an abort), the
+# randomized report and the main report minus checks/inner_decodes/flips.
+# Recorded while the hand-off still rebuilt the state from the word; the
+# counters have counted the randomized phase too since then.
+PINNED_RAND_DECODES = Path(__file__).with_name("pinned_rand_decodes.jsonl")
+
+
+def test_pinned_randomized_decodes(big_code, big_params):
+    lines = PINNED_RAND_DECODES.read_text().splitlines()
+    assert len(lines) == 20
+    for line in lines:
+        pinned = json.loads(line)
+        report = tf.RandDecodeReport()
+        word = rand_decode_big(big_code, big_params, pinned["weight"], pinned["seed"], report)
+        main = json.loads(report.main.to_json_line())
+        for key in ("checks", "inner_decodes", "flips"):
+            del main[key]
+        got = {
+            "weight": pinned["weight"],
+            "seed": pinned["seed"],
+            "word": None if word is None else list(word.indices()),
+            "iterations": report.iterations,
+            "unsat_trajectory": report.unsat_trajectory,
+            "handed_off": report.handed_off,
+            "main": main,
+        }
+        assert got == pinned
+
+
+class TestHandOff:
+    """randomized_decode sets the word up once and hands its DecodeState to
+    main_decode."""
+
+    @pytest.mark.parametrize("weight, seed", [(6, 1), (30, 3), (600, 1)])
+    def test_one_state_per_decode(self, big_code, big_params, monkeypatch, weight, seed):
+        built = []
+        setup = DecodeState.__init__
+
+        def init(state, *args):
+            built.append(state)
+            setup(state, *args)
+
+        monkeypatch.setattr(DecodeState, "__init__", init)
+        rand_decode_big(big_code, big_params, weight, seed, None)
+        assert len(built) == 1
+
+    def test_handed_state_equals_fresh_state(self, big_code, big_params, monkeypatch):
+        handed = []
+        original = decode_rand.main_decode
+
+        def capture(code, params, state, report=None):
+            fresh = DecodeState(code, params, state.x_vector())
+            for name in ("x", "unsat", "targets", "votes", "buckets", "senders"):
+                assert getattr(state, name) == getattr(fresh, name), name
+            assert state.flip_record == set()
+            handed.append(state)
+            return original(code, params, state, report=report)
+
+        monkeypatch.setattr(decode_rand, "main_decode", capture)
+        for weight, seed in [(6, 2), (9, 1), (30, 1), (300, 2), (600, 3)]:
+            report = tf.RandDecodeReport()
+            assert rand_decode_big(big_code, big_params, weight, seed, report) is not None
+            assert report.handed_off
+        assert len(handed) == 5
+
+    @pytest.mark.parametrize(
+        "weight, seed, handed_off", [(9, 1, True), (300, 3, True), (700, 1, False)]
+    )
+    def test_checks_equal_examined_work(
+        self, big_code, big_params, monkeypatch, weight, seed, handed_off
+    ):
+        examined = [0]
+        in_setup = [False]
+        setup, examine = DecodeState.__init__, DecodeState._examine
+
+        def init(state, *args):
+            in_setup[0] = True  # set-up is charged n_right checks instead
+            setup(state, *args)
+            in_setup[0] = False
+
+        def counted(state, u):
+            examined[0] += not in_setup[0]
+            return examine(state, u)
+
+        monkeypatch.setattr(DecodeState, "__init__", init)
+        monkeypatch.setattr(DecodeState, "_examine", counted)
+        report = tf.RandDecodeReport()
+        word = rand_decode_big(big_code, big_params, weight, seed, report)
+        assert report.handed_off == handed_off == (word is not None)
+        ops = report.main.ops
+        assert ops.checks == ops.inner_decodes == big_code.graph.n_right + examined[0]
+        assert examined[0] > 0
+
+    def test_fresh_state_decodes_like_its_word(self, big_code, big_params):
+        for weight, seed in [(1, 1), (3, 2), (7, 1), (9, 1)]:
+            x = corrupt(BitVector.zeros(big_code.n), weight, seed=seed)
+            reports = tf.DecodeReport(), tf.DecodeReport()
+            outs = []
+            for arg, report in zip((x, DecodeState(big_code, big_params, x)), reports):
+                try:
+                    outs.append(tf.main_decode(big_code, big_params, arg, report=report))
+                except tf.DecodeFailure as exc:
+                    outs.append(type(exc))
+            assert outs[0] == outs[1]
+            assert reports[0].to_json_line() == reports[1].to_json_line()
+
+    def test_state_from_another_code_or_params_rejected(
+        self, big_code, big_params, k32_code, k32_params
+    ):
+        state = DecodeState(big_code, big_params, BitVector.zeros(big_code.n))
+        with pytest.raises(ValueError, match="another code or params"):
+            tf.main_decode(k32_code, k32_params, state)
+        other = tf.derive_params(c=12, d=8, alpha=0.03, delta=0.8, d0=4, n=2000)
+        with pytest.raises(ValueError, match="another code or params"):
+            tf.main_decode(big_code, other, state)
