@@ -11,13 +11,17 @@ finishes with one bounded-distance pass of the inner decoder.
 
 Set-up is one whole-word syndrome pass over the input
 (`TannerCode.failing_constraints`) plus an examination of each failing
-constraint; it is counted as one check and one inner decode per constraint.
-After that, all state updates are incremental: flipping a variable
-re-examines only the adjacent constraints. The search walk collapses each
-chain of empty-bucket (no-op) levels into one frame, so a search call costs
-its real bucket flips plus O(c + log s0) per chain, rather than one step per
-level of the s0-deep sequence tree. Operation counters record every check,
-inner decode, bit flip and search node for the cost-contract tests.
+constraint; it is counted as one check and one inner decode per constraint,
+and it is the only pass of a decode that reads every constraint. After that,
+all state updates are incremental: flipping a variable re-examines only the
+adjacent constraints, and the closing membership check
+(`DecodeState.word_is_codeword`) reads only the constraints next to the
+coordinates the decode changed. The search walk collapses each chain of
+empty-bucket (no-op) levels into one frame, so a search call costs its real
+bucket flips plus O(c + log s0) per chain, rather than one step per level of
+the s0-deep sequence tree. Operation counters record every check, inner
+decode, bit flip and search node of the decoding for the cost-contract
+tests; the closing check is not counted, and is bounded by the flips.
 """
 
 from __future__ import annotations
@@ -177,7 +181,9 @@ class DecodeState:
     only the constraints it reports failing: a passing constraint has coset
     leader 0 and sends no vote, which are the initial entries. Set-up is
     still charged one check and one inner decode per constraint, since the
-    pass reads and checks every one of them.
+    pass reads and checks every one of them. Set-up also keeps the received
+    word and the constraints failing on it; nothing else reads or changes
+    them, and `word_is_codeword` checks the current word against them.
     """
 
     def __init__(self, code: TannerCode, params: DecoderParams, x: BitVector) -> None:
@@ -193,7 +199,8 @@ class DecodeState:
         self._right_adj = graph.right_adj
         self._leader_for = code.inner.leader_for
         self._read = code.read_restriction
-        self.x = bytearray(x.to_bytes01())
+        self._received = x.to_bytes01()
+        self.x = bytearray(self._received)
         self.unsat: set[int] = set()
         self.targets = [-1] * graph.n_right
         self.votes = [0] * graph.n_left
@@ -201,7 +208,8 @@ class DecodeState:
         self.senders = 0
         self.flip_record: set[int] = set()
         self.ops = OpCounters()
-        for u in code.failing_constraints(self.x):
+        self._received_failing = code.failing_constraints(self.x)
+        for u in self._received_failing:
             self._examine(u)
         self.ops.checks = self.ops.inner_decodes = graph.n_right
 
@@ -211,6 +219,36 @@ class DecodeState:
 
     def x_vector(self) -> BitVector:
         return BitVector.from_bytes01(self.x)
+
+    def word_is_codeword(self) -> bool:
+        """Exact membership of the current word, by linearity from the
+        received word.
+
+        Let T be the constraints next to the coordinates where the word
+        differs from the received word. A constraint outside T sees the same
+        restriction as in the received word, so the word is a codeword iff
+        every constraint that failed on the received word is in T and every
+        constraint in T passes. This reads at most c * |differences|
+        constraints, no more than c * ops.flips when the word changed by
+        flips only. It reads the word, the received word and its failing
+        constraints as kept at set-up, and none of the incremental
+        bookkeeping, so it stays an independent check of the output.
+        """
+        received = self._received
+        diff = (
+            int.from_bytes(received, "little") ^ int.from_bytes(self.x, "little")
+        ).to_bytes(len(received), "little")
+        left_adj = self._left_adj
+        touched: set[int] = set()
+        v = diff.find(1)
+        while v >= 0:
+            touched.update(left_adj[v])
+            v = diff.find(1, v + 1)
+        if not touched.issuperset(self._received_failing):
+            return False
+        read, word = self._read, self.x
+        syndrome_bits = self.code.inner.syndrome_bits
+        return not any(syndrome_bits(read(word, u)) for u in touched)
 
     def _examine(self, u: int) -> int | None:
         """Bring constraint u's entries in the invariant up to date with the
@@ -478,6 +516,14 @@ def main_decode(
 
     `x` is the received word or, at the randomized hand-off, a DecodeState
     built on this `code` and `params`; its counters keep running.
+
+    The membership check is `DecodeState.word_is_codeword`: exact, and
+    independent of the incremental bookkeeping, but it reads only the
+    constraints next to coordinates that differ from the received word, at
+    most c * ops.flips of them, instead of making a second pass over all n.
+    It is not charged to the counters: it checks the decoder's output rather
+    than doing decoding work, and its cost is already bounded by the counted
+    flips.
     """
     state = x if isinstance(x, DecodeState) else DecodeState(code, params, x)
     if state.code is not code or state.params is not params:
@@ -500,12 +546,11 @@ def main_decode(
         report.unsat_per_round.append(state.unsat_count)
     if state.unsat_count:
         _final_inner_pass(state)
-    result = state.x_vector()
-    if state.unsat_count or not code.is_codeword(result):
+    if state.unsat_count or not state.word_is_codeword():
         report.outcome = "residual_unsat"
         raise DecodeFailure("output fails the membership check")
     report.outcome = "codeword"
-    return result
+    return state.x_vector()
 
 
 def _final_inner_pass(state: DecodeState) -> None:

@@ -21,6 +21,8 @@ class BipartiteGraph:
     """Simple (c,d)-biregular bipartite graph with both adjacency directions."""
 
     def __init__(self, c: int, d: int, left_adj: list[list[int]]) -> None:
+        if c < 1 or d < 1:
+            raise ValueError(f"degrees must be at least 1, got c={c}, d={d}")
         self.c = c
         self.d = d
         self.n_left = len(left_adj)
@@ -30,10 +32,13 @@ class BipartiteGraph:
         self.left_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(nb)) for nb in left_adj
         )
-        right: list[list[int]] = [[] for _ in range(self.n_right)]
+        # checked before the right side is allocated, so that its size is
+        # bounded by the adjacency lists actually given
         for v, nb in enumerate(self.left_adj):
             if len(nb) != c or len(set(nb)) != c:
                 raise ValueError(f"left vertex {v} does not have {c} distinct neighbors")
+        right: list[list[int]] = [[] for _ in range(self.n_right)]
+        for v, nb in enumerate(self.left_adj):
             for u in nb:
                 if not 0 <= u < self.n_right:
                     raise ValueError(f"right index {u} out of range")

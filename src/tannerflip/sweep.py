@@ -9,8 +9,9 @@ weight of the decoded word, and a sweep never computes the generator matrix.
 Every trial is a pure function of (root seed, weight, trial index), so sweep
 reports are bitwise reproducible. Trials may run in worker processes when
 TANNER_THREADS asks for more than one (a positive integer, clamped to the
-number of trials); rows are merged by (weight, trial) regardless of
-completion order.
+number of trials). The code, params and config reach each worker once,
+through the pool's initializer, so a job is only its (weight, trial) pair;
+rows are merged by (weight, trial) regardless of completion order.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class ExperimentConfig:
             raise ValueError("decoder must be 'det' or 'rand'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     weight: int
     trial: int
@@ -181,18 +182,27 @@ def run_trial(
     )
 
 
-def _worker(args) -> SweepRow:
-    code, params, config, weight, trial = args
-    return run_trial(code, params, config, weight, trial)
+# What every trial of a parallel sweep shares, set once per worker process by
+# the pool's initializer so that a job is only (weight, trial).
+_worker_setup: tuple[TannerCode, DecoderParams, ExperimentConfig] | None = None
+
+
+def _init_worker(
+    code: TannerCode, params: DecoderParams, config: ExperimentConfig
+) -> None:
+    global _worker_setup
+    _worker_setup = (code, params, config)
+
+
+def _worker(job: tuple[int, int]) -> SweepRow:
+    return run_trial(*_worker_setup, *job)
 
 
 def run_sweep(
     code: TannerCode, params: DecoderParams, config: ExperimentConfig
 ) -> SweepReport:
     jobs = [
-        (code, params, config, weight, trial)
-        for weight in config.weights
-        for trial in range(config.trials)
+        (weight, trial) for weight in config.weights for trial in range(config.trials)
     ]
     threads = worker_count(os.environ.get("TANNER_THREADS"), len(jobs))
     if threads > 1:
@@ -200,10 +210,14 @@ def run_sweep(
         # imports tannerflip, and only a parallel sweep needs it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(
+            max_workers=threads,
+            initializer=_init_worker,
+            initargs=(code, params, config),
+        ) as pool:
             rows = list(pool.map(_worker, jobs, chunksize=8))
     else:
-        rows = [_worker(job) for job in jobs]
+        rows = [run_trial(code, params, config, *job) for job in jobs]
     rows.sort(key=lambda r: (r.weight, r.trial))
     return SweepReport(rows=rows)
 

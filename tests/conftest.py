@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
@@ -82,4 +83,21 @@ def small_expander_code() -> tuple[tf.TannerCode, tf.DecoderParams]:
     assert tf.verify_expansion(graph, 2 / 30, 0.75).verified
     code = tf.TannerCode(graph, ext_hamming_inner())
     params = tf.derive_params(c=12, d=8, alpha=2 / 30, delta=0.75, d0=4, n=30)
+    return code, params
+
+
+def scan_small_code() -> tuple[tf.TannerCode, tf.DecoderParams]:
+    """(4,8) random graph at n=32 with the [8,4,4] inner code."""
+    code = tf.TannerCode(tf.gen_random_biregular(4, 8, 32, seed=2), ext_hamming_inner())
+    params = tf.derive_params(c=4, d=8, alpha=0.1, delta=0.8, d0=4, n=32)
+    return code, params
+
+
+@pytest.fixture(scope="session")
+def dim3_code() -> tuple[tf.TannerCode, tf.DecoderParams]:
+    """(2,8) n=64 graph with the [8,4,4] inner code: dimension 3, and a
+    shortened schedule so that hard_search runs."""
+    code = tf.TannerCode(tf.gen_random_biregular(2, 8, 64, seed=3), ext_hamming_inner())
+    params = dataclasses.replace(tf.derive_params(2, 8, 0.3, 1.0, 4, 64), ell=4, s0=3)
+    assert code.dim == 3
     return code, params

@@ -307,6 +307,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {flag[2:]} must be at least 1, got {value}\n"
 
+    def test_zero_degree_graph_exit_3(self, tmp_path, capsys):
+        graph = tmp_path / "g.bigraph"
+        graph.write_text("1 0 1 0\n0\n")
+        inner = tmp_path / "rep3.innercode"
+        inner.write_text(tf.repetition_code(3).to_text())
+        rc = main(
+            ["build-code", "--graph", str(graph), "--inner", str(inner),
+             "--out", str(tmp_path / "t.tanner")]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: degrees must be at least 1, got c=1, d=0\n"
+
     def test_missing_code_args_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mindist"])

@@ -15,7 +15,7 @@ from tannerflip.graphs import BipartiteGraph, gen_random_biregular
 from tannerflip.inner import parity_check_code, repetition_code
 from tannerflip.tanner import TannerCode, corrupt
 
-from conftest import ext_hamming_inner, wide_inner_12_6_4
+from conftest import ext_hamming_inner, scan_small_code, wide_inner_12_6_4
 
 
 def blocks_graph(blocks: int, d: int) -> BipartiteGraph:
@@ -351,13 +351,6 @@ def walk_commit(code, params, x: BitVector) -> BitVector | None:
 class TestScanEquivalence:
     """hard_search commits what the lexicographic scan of [c]^s0 commits."""
 
-    @staticmethod
-    def small_code():
-        graph = gen_random_biregular(4, 8, 32, seed=2)
-        code = TannerCode(graph, ext_hamming_inner())
-        params = tf.derive_params(c=4, d=8, alpha=0.1, delta=0.8, d0=4, n=32)
-        return code, params
-
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -369,7 +362,7 @@ class TestScanEquivalence:
         ],
     )
     def test_small_code(self, overrides):
-        code, base = self.small_code()
+        code, base = scan_small_code()
         params = dataclasses.replace(base, **overrides)
         rng = random.Random(repr(sorted(overrides.items())))
         outcomes = Counter()
@@ -606,3 +599,109 @@ def test_safety_bound_for_arbitrary_flips(big_code, big_params):
             tf.easy_flip(st2, m)
             after = (st2.x_vector() ^ truth).weight()
             assert after <= cap * weight
+
+
+class TestClosingCheck:
+    """main_decode closes with DecodeState.word_is_codeword, which checks the
+    output by linearity from the received word instead of re-reading it."""
+
+    @staticmethod
+    def check(code, params, received: BitVector, output: BitVector) -> bool:
+        state = tf.DecodeState(code, params, received)
+        state.x[:] = output.to_bytes01()
+        return state.word_is_codeword()
+
+    def test_equals_is_codeword(self, big_code, big_params, dim3_code):
+        rng = random.Random(8)
+        verdicts = Counter()
+        dim3, dim3_params = dim3_code
+        for code, params, codewords in (
+            (big_code, big_params, [BitVector.zeros(big_code.n)]),
+            (dim3, dim3_params, list(dim3.codewords())),
+        ):
+            n = code.n
+            for _ in range(40):
+                truth = rng.choice(codewords)
+                received = (
+                    BitVector(n, rng.getrandbits(n))
+                    if rng.random() < 0.2
+                    else corrupt(truth, rng.randint(0, 12), rng.randrange(1 << 30))
+                )
+                moved = rng.sample(range(n), rng.randint(0, 6))
+                outputs = [
+                    truth,
+                    truth ^ BitVector.from_indices(n, [rng.randrange(n)]),
+                    received ^ BitVector.from_indices(n, moved),
+                ]
+                for output in outputs:
+                    expected = code.is_codeword(output)
+                    assert self.check(code, params, received, output) == expected
+                    verdicts[expected] += 1
+        assert verdicts[True] >= 80 and verdicts[False] >= 80
+
+    @pytest.mark.parametrize("mutation", ["clear_unsat", "write_x"])
+    def test_ignores_corrupted_bookkeeping(
+        self, k32_code, k32_params, big_code, big_params, mutation
+    ):
+        # either way the bookkeeping says no constraint fails, so the decode
+        # goes straight to the closing check with a word that is no codeword
+        for code, params in ((k32_code, k32_params), (big_code, big_params)):
+            zero = BitVector.zeros(code.n)
+            if mutation == "clear_unsat":
+                state = tf.DecodeState(code, params, corrupt(zero, 1, seed=81))
+                state.unsat.clear()
+            else:
+                state = tf.DecodeState(code, params, zero)
+                state.x[0] ^= 1
+            report = tf.DecodeReport()
+            with pytest.raises(tf.DecodeFailure):
+                tf.main_decode(code, params, state, report=report)
+            assert report.outcome == "residual_unsat"
+            assert not code.is_codeword(state.x_vector())
+
+    def test_reads_at_most_c_per_flip(self, big_code, big_params, monkeypatch):
+        calls = []
+        closing = tf.DecodeState.word_is_codeword
+
+        def counted(state):
+            read = state._read
+            reads = []
+            state._read = lambda word, u: reads.append(u) or read(word, u)
+            try:
+                verdict = closing(state)
+            finally:
+                state._read = read
+            calls.append((len(reads), state.ops.flips))
+            return verdict
+
+        monkeypatch.setattr(tf.DecodeState, "word_is_codeword", counted)
+        zero = BitVector.zeros(big_code.n)
+        for weight, seed in ((1, 1), (2, 2), (3, 3), (3, 4)):
+            x = corrupt(zero, weight, seed)
+            assert tf.main_decode(big_code, big_params, x) == zero
+        for weight, seed in ((20, 5), (60, 6)):
+            x = corrupt(zero, weight, seed)
+            cfg = tf.RandDecodeConfig.for_params(big_params, seed=seed)
+            assert tf.randomized_decode(big_code, big_params, cfg, x) == zero
+        assert len(calls) == 6
+        c = big_code.graph.c
+        assert all(0 < reads <= c * flips for reads, flips in calls), calls
+
+    def test_one_whole_word_pass_per_decode(self, big_code, big_params, monkeypatch):
+        passes = []
+        whole_word = TannerCode.failing_constraints
+
+        def counted(code, word):
+            passes.append(len(word))
+            return whole_word(code, word)
+
+        def refused(code, x):
+            raise AssertionError("decoders must not call is_codeword")
+
+        monkeypatch.setattr(TannerCode, "failing_constraints", counted)
+        monkeypatch.setattr(TannerCode, "is_codeword", refused)
+        zero = BitVector.zeros(big_code.n)
+        tf.main_decode(big_code, big_params, corrupt(zero, 3, seed=9))
+        cfg = tf.RandDecodeConfig.for_params(big_params, seed=9)
+        tf.randomized_decode(big_code, big_params, cfg, corrupt(zero, 30, seed=9))
+        assert passes == [big_code.n, big_code.n]

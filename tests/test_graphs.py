@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -225,3 +226,20 @@ class TestTextFormat:
     def test_rejects_bad_header_count(self):
         with pytest.raises(ValueError):
             BipartiteGraph.from_text("2 3 3 5\n0 1\n0 1\n0 1\n")
+
+    @pytest.mark.parametrize("text", ["1 0 1 0\n0\n", "0 1 0 0\n", "0 0 0 0\n"])
+    def test_rejects_zero_degree(self, text):
+        with pytest.raises(ValueError, match="degrees must be at least 1"):
+            BipartiteGraph.from_text(text)
+
+    def test_header_degree_does_not_size_allocation(self):
+        # c = 10^5 promises 10^5 constraints, but the adjacency line has one
+        # entry: that is rejected before anything of the promised size exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="distinct neighbors"):
+                BipartiteGraph.from_text("100000 1 1 100000\n0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000

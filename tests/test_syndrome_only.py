@@ -4,28 +4,13 @@ corrupt the zero codeword only: a random codeword would test nothing more."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
-
-import pytest
 
 import tannerflip as tf
 from tannerflip.gf2 import BitVector
 
-from conftest import ext_hamming_inner
-
 WEIGHTS = (1, 2, 3, 5, 8, 12)
 SEEDS_PER_WEIGHT = 5
-
-
-@pytest.fixture(scope="module")
-def dim3_code() -> tuple[tf.TannerCode, tf.DecoderParams]:
-    """(2,8) n=64 graph with the [8,4,4] inner code: dimension 3, and a
-    shortened schedule so that hard_search runs."""
-    code = tf.TannerCode(tf.gen_random_biregular(2, 8, 64, seed=3), ext_hamming_inner())
-    params = dataclasses.replace(tf.derive_params(2, 8, 0.3, 1.0, 4, 64), ell=4, s0=3)
-    assert code.dim == 3
-    return code, params
 
 
 def _errors(n: int) -> list[BitVector]:
