@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -130,7 +131,10 @@ def cmd_build_code(args) -> int:
     graph = BipartiteGraph.from_text(Path(args.graph).read_text())
     inner = InnerCode.from_text(Path(args.inner).read_text())
     TannerCode(graph, inner)  # degree compatibility check
-    write_bundle(args.out, args.graph, args.inner)
+    base = Path(args.out).parent  # load_bundle resolves paths against it
+    write_bundle(
+        args.out, os.path.relpath(args.graph, base), os.path.relpath(args.inner, base)
+    )
     _emit(args, {"out": args.out}, f"wrote manifest to {args.out}")
     return EXIT_OK
 

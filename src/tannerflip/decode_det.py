@@ -16,8 +16,8 @@ and it is the only pass of a decode that reads every constraint. After that,
 all state updates are incremental: flipping a variable re-examines only the
 adjacent constraints, and the closing membership check
 (`DecodeState.word_is_codeword`) reads only the constraints next to the
-coordinates the decode changed. The search walk collapses each chain of
-empty-bucket (no-op) levels into one frame, so a search call costs its real
+coordinates the decode changed. The search walk runs each chain of
+empty-bucket (no-op) levels as one generator, so a search call costs its real
 bucket flips plus O(c + log s0) per chain, rather than one step per level of
 the s0-deep sequence tree. Operation counters record every check, inner
 decode, bit flip and search node of the decoding for the cost-contract
@@ -305,9 +305,6 @@ class DecodeState:
             self._examine(u)
         return flipped
 
-    def undo_flips(self, flipped: list[int]) -> None:
-        self.apply_flips(flipped)
-
     def restore_baseline(self) -> None:
         """Rewind the word to the committed baseline recorded in flip_record."""
         self.apply_flips(sorted(self.flip_record))
@@ -343,25 +340,34 @@ def hard_search(state: DecodeState) -> None:
       by comparing |U| against the final bounds;
     - sibling digits whose vote bucket is empty lead to identical subtrees,
       so only the first empty digit e is explored;
-    - that no-op edge leads to a chain of levels that all hold the same word.
-      The chain is walked as one frame. It reaches
-      top = min(s0, largest k with |U| <= prune_bounds[k]), found by one
-      bisect because the bounds decrease. Each digit is applied once to learn
-      its count |U'_m| and the deepest level K_m - 1 at which it passes, so the
-      walk visits only levels where some digit can pass: going down, the
-      digits before e stop passing for good once they fail; going back up,
-      it jumps to the deepest level where a digit after e first passes.
+    - that no-op edge leads to a chain of levels that all hold the same word,
+      down to top = min(s0, largest k with |U| <= prune_bounds[k]), found by
+      one bisect because the bounds decrease.
+
+    Each chain is one generator, `chain(depth)`. Going down, it tries the
+    digits before e level by level while one of them can still pass one
+    level deeper; it yields the leaf at s0 when the chain reaches s0; going
+    back up, it tries the digits after e, jumping to the deepest level where
+    one of them passes. Its `children` flips one bucket at a time, caches
+    the largest k at which the result passes, yields the child's depth when
+    the flip passes, and undoes the flip when the walk resumes it; it has no
+    try/finally, which would undo a committed sequence as the suspended
+    generators are dropped. The main loop keeps a stack of these generators,
+    so no recursion is involved.
 
     Each call thus costs its real bucket flips plus O(c + log s0) per chain,
-    not one frame per level of [c]^s0. `ops.nodes` counts the levels the
+    not one step per level of [c]^s0; the generators add no flip or node
+    that these shortcuts do not call for. `ops.nodes` counts the levels the
     walk stands on to try digits, plus each leaf decided. Raises
     NoAcceptableBranch (state rewound) when the scan exhausts.
     """
     params = state.params
     s0 = params.s0
     c = state.code.graph.c
-    accept_limit = params.eps4 * state.unsat_count
     bounds = params.prune_bounds
+    # a node at depth s0 was reached by a flip or a chain that passed
+    # bounds[s0], so one limit decides every leaf
+    accept_limit = min(params.eps4 * state.unsat_count, bounds[s0])
     buckets = state.buckets
     ops = state.ops
 
@@ -369,115 +375,71 @@ def hard_search(state: DecodeState) -> None:
         """Largest k <= s0 with u <= bounds[k], or -1."""
         return bisect_right(bounds, -u, key=neg) - 1
 
-    def accept_leaf(depth: int) -> bool:
-        """Decide a leaf at `depth`; commit the word if it accepts."""
+    def chain(depth: int):
+        """Walk levels depth..top of the current word, yielding the depth of
+        each child to enter."""
+        e = next((m for m in range(1, c + 1) if not buckets[m]), c + 1)
+        top = max(depth, reach(state.unsat_count)) if e <= c else depth
+        last = min(top, s0 - 1)
+        before = range(1, e)
+        after = [m for m in range(e + 1, c + 1) if buckets[m]]
+        known = [s0 + 1] * (c + 1)  # reach after flipping m, once tried
+
+        def children(level: int, digits):
+            for m in digits:
+                if known[m] > level:
+                    flipped = state.apply_flips(buckets[m])
+                    known[m] = k = reach(state.unsat_count)
+                    if k > level:
+                        # no try/finally: once a leaf accepts, the dropped
+                        # generators must not undo the commit
+                        yield level + 1
+                    state.apply_flips(flipped)
+
+        level = depth  # down, while a digit before e can pass one level deeper
+        yield from children(level, before)
+        while level < last and any(known[m] > level + 1 for m in before):
+            level += 1
+            ops.nodes += 1
+            yield from children(level, before)
+        if top == s0:  # the leaf
+            yield s0
+        if level != last:
+            level = last
+            ops.nodes += 1
+        while True:  # up, to the deepest level where a digit after e passes
+            yield from children(level, after)
+            level = min(level - 1, max((known[m] for m in after), default=0) - 1)
+            if level < depth:
+                return
+            ops.nodes += 1
+
+    stack = []
+
+    def enter(depth: int) -> bool:
+        """Decide the leaf at `depth`, True if it accepted and was committed,
+        or push the chain of the node there."""
         ops.nodes += 1
-        u = state.unsat_count
-        if u <= accept_limit and (depth == s0 or u <= bounds[s0]):
-            state.commit()
-            return True
-        return False
-
-    stack: list[_Chain] = []
-
-    def enter(depth: int, flipped: list[int]) -> bool:
-        """Push the frame for the node that `flipped` led to. A leaf is
-        decided at once: True means it accepted and was committed, a rejected
-        leaf is undone."""
-        if depth == s0 or state.senders == 0:
-            if accept_leaf(depth):
-                return True
-            state.undo_flips(flipped)
+        if depth < s0 and state.senders:
+            stack.append(chain(depth))
             return False
-        ops.nodes += 1
-        first_empty = next((m for m in range(1, c + 1) if not buckets[m]), c + 1)
-        top = depth
-        if first_empty <= c:
-            top = max(depth, reach(state.unsat_count))
-        stack.append(_Chain(depth, flipped, first_empty, top, c))
-        return False
-
-    def try_digit(chain: _Chain, m: int) -> bool:
-        """Flip bucket m at chain.level and enter the child unless the flip
-        is pruned; True once a sequence was committed."""
-        level = chain.level
-        known = chain.reach[m]
-        if known is not None and known <= level:
+        if state.unsat_count > accept_limit:
             return False
-        flipped = state.apply_flips(buckets[m])
-        chain.reach[m] = k = reach(state.unsat_count)
-        if k <= level:
-            state.undo_flips(flipped)
-            return False
-        return enter(level + 1, flipped)
+        state.commit()
+        return True
 
-    if enter(0, []):
+    if enter(0):
         return
     while stack:
-        chain = stack[-1]
-        m, e, level = chain.digit, chain.first_empty, chain.level
-        if m <= c and m != e:
-            chain.digit = m + 1
-            if buckets[m] and try_digit(chain, m):
-                return
-            continue
-        if m == e:
-            # Descending: the digits before e were tried at this level. The
-            # no-op edge leads one level down while some of them can still
-            # pass there; otherwise straight to the chain's last level.
-            last = min(chain.top, s0 - 1)
-            if level < last and any(
-                chain.reach[k] > level + 1 for k in range(1, e)
-            ):
-                chain.level, chain.digit = level + 1, 1
-                ops.nodes += 1
-                continue
-            if chain.top == s0 and accept_leaf(s0):
-                return
-            if last != level:
-                chain.level = last
-                ops.nodes += 1
-            chain.digit = e + 1
-            continue
-        # Ascending: every digit after e was tried at this level; jump to the
-        # deepest shallower level where one of them passes.
-        deepest = max(
-            (k for k in chain.reach[e + 1 :] if k is not None), default=-1
-        )
-        nxt = min(level - 1, deepest - 1)
-        if nxt < chain.depth:
+        depth = next(stack[-1], None)
+        if depth is None:
             stack.pop()
-            state.undo_flips(chain.flipped)
-            continue
-        chain.level, chain.digit = nxt, e + 1
-        ops.nodes += 1
+        elif enter(depth):
+            return
     raise NoAcceptableBranch(
         "no flip sequence reached the required reduction; "
         "the corruption likely exceeds the guaranteed radius"
     )
-
-
-class _Chain:
-    """One hard_search frame: the levels depth..top that hold the same word.
-
-    `level` is the level being worked and `digit` the next digit to try
-    there; digits below `first_empty` are tried on the way down, the rest on
-    the way back up. `reach[m]` caches the largest k with |U'_m| <=
-    prune_bounds[k] once bucket m has been flipped from this word.
-    """
-
-    __slots__ = ("depth", "flipped", "first_empty", "top", "level", "digit", "reach")
-
-    def __init__(
-        self, depth: int, flipped: list[int], first_empty: int, top: int, c: int
-    ) -> None:
-        self.depth = depth
-        self.flipped = flipped
-        self.first_empty = first_empty
-        self.top = top
-        self.level = depth
-        self.digit = 1
-        self.reach: list[int | None] = [None] * (c + 1)
 
 
 @dataclass(slots=True)

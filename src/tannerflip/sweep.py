@@ -9,9 +9,9 @@ weight of the decoded word, and a sweep never computes the generator matrix.
 Every trial is a pure function of (root seed, weight, trial index), so sweep
 reports are bitwise reproducible. Trials may run in worker processes when
 TANNER_THREADS asks for more than one (a positive integer, clamped to the
-number of trials). The code, params and config reach each worker once,
-through the pool's initializer, so a job is only its (weight, trial) pair;
-rows are merged by (weight, trial) regardless of completion order.
+number of trials and of CPUs). The code, params and config reach each worker
+once, through the pool's initializer, so a job is only its (weight, trial)
+pair; rows are merged by (weight, trial) regardless of completion order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .gf2 import BitVector
 from .decode_det import DecodeFailure, DecodeReport, DecoderParams, main_decode
@@ -31,11 +31,6 @@ from .decode_rand import (
     randomized_decode,
 )
 from .tanner import TannerCode, corrupt
-
-CSV_HEADER = (
-    "sweep v1,weight,trial,seed,success,dist_to_truth,rounds,rand_iters,"
-    "checks,inner_decodes,flips,nodes,wall_ms,outcome"
-)
 
 
 class UsageError(ValueError):
@@ -87,29 +82,23 @@ class SweepRow:
     outcome: str
 
     def to_csv(self) -> str:
-        return (
-            f"{self.weight},{self.trial},{self.seed},{int(self.success)},"
-            f"{self.dist_to_truth},{self.rounds},{self.rand_iters},"
-            f"{self.checks},{self.inner_decodes},{self.flips},{self.nodes},"
-            f"{self.wall_ms:.3f},{self.outcome}"
+        return ",".join(
+            _WRITE_CELL[f.type](getattr(self, f.name)) for f in _ROW_FIELDS
         )
 
     def to_dict(self) -> dict:
-        return {
-            "weight": self.weight,
-            "trial": self.trial,
-            "seed": self.seed,
-            "success": self.success,
-            "dist_to_truth": self.dist_to_truth,
-            "rounds": self.rounds,
-            "rand_iters": self.rand_iters,
-            "checks": self.checks,
-            "inner_decodes": self.inner_decodes,
-            "flips": self.flips,
-            "nodes": self.nodes,
-            "wall_ms": self.wall_ms,
-            "outcome": self.outcome,
-        }
+        return {f.name: getattr(self, f.name) for f in _ROW_FIELDS}
+
+
+_ROW_FIELDS = fields(SweepRow)
+CSV_HEADER = "sweep v1," + ",".join(f.name for f in _ROW_FIELDS)
+# CSV cells by SweepRow field type, as the annotation is written (this module
+# postpones annotations): bools as 0/1, and wall_ms, the only float, at the
+# precision run_trial rounds it to
+_WRITE_CELL = {
+    "int": str, "bool": lambda v: str(int(v)), "float": "{:.3f}".format, "str": str
+}
+_READ_CELL = {"int": int, "bool": lambda s: bool(int(s)), "float": float, "str": str}
 
 
 @dataclass
@@ -226,7 +215,8 @@ def worker_count(value: str | None, n_jobs: int) -> int:
     """Worker processes for n_jobs trials from TANNER_THREADS's value.
 
     Unset means 1. Anything but a decimal integer >= 1 raises UsageError.
-    The count is clamped to n_jobs only.
+    The count is clamped to n_jobs and to os.cpu_count(): a fork-started
+    pool starts all its workers at the first submit.
     """
     if value is None:
         return 1
@@ -234,7 +224,7 @@ def worker_count(value: str | None, n_jobs: int) -> int:
         raise UsageError(
             f"TANNER_THREADS must be a positive integer, got {value!r}"
         )
-    return min(int(value), max(n_jobs, 1))
+    return min(int(value), max(n_jobs, 1), os.cpu_count() or 1)
 
 
 def parse_csv(text: str) -> SweepReport:
@@ -243,24 +233,8 @@ def parse_csv(text: str) -> SweepReport:
         raise ValueError("missing or unknown sweep header")
     rows = []
     for ln in lines[1:]:
-        f = ln.split(",")
-        rows.append(
-            SweepRow(
-                weight=int(f[0]),
-                trial=int(f[1]),
-                seed=int(f[2]),
-                success=bool(int(f[3])),
-                dist_to_truth=int(f[4]),
-                rounds=int(f[5]),
-                rand_iters=int(f[6]),
-                checks=int(f[7]),
-                inner_decodes=int(f[8]),
-                flips=int(f[9]),
-                nodes=int(f[10]),
-                wall_ms=float(f[11]),
-                outcome=f[12],
-            )
-        )
+        cells = zip(_ROW_FIELDS, ln.split(","), strict=True)
+        rows.append(SweepRow(*(_READ_CELL[f.type](cell) for f, cell in cells)))
     return SweepReport(rows=rows)
 
 

@@ -169,8 +169,12 @@ MANIFEST_TAG = "tanner v1"
 
 
 def write_bundle(manifest_path, graph_path, inner_path) -> None:
-    manifest = Path(manifest_path)
-    manifest.write_text(f"{MANIFEST_TAG} {graph_path} {inner_path}\n")
+    """Write a 'tanner v1' manifest; the paths are written as given, so they
+    must be relative to the manifest (or absolute) and free of whitespace."""
+    for path in (graph_path, inner_path):
+        if any(ch.isspace() for ch in str(path)):
+            raise ValueError(f"manifest paths cannot hold whitespace: {str(path)!r}")
+    Path(manifest_path).write_text(f"{MANIFEST_TAG} {graph_path} {inner_path}\n")
 
 
 def load_bundle(manifest_path) -> TannerCode:

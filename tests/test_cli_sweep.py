@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -77,6 +78,7 @@ class TestSweep:
     def test_parallel_matches_sequential(self, k32_code, k32_params, monkeypatch):
         config = ExperimentConfig(weights=(0, 1), trials=3, seed=6)
         seq = run_sweep(k32_code, k32_params, config)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("TANNER_THREADS", "2")
         par = run_sweep(k32_code, k32_params, config)
         assert without_wall_ms(seq.rows) == without_wall_ms(par.rows)
@@ -92,6 +94,7 @@ class TestSweep:
         code = tf.TannerCode(tf.gen_random_biregular(12, 8, 2000, seed=1), ext_hamming_inner())
         config = ExperimentConfig(weights=(6, 9), trials=12, seed=10, decoder="rand")
         seq = run_sweep(code, big_params, config)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("TANNER_THREADS", "2")  # three chunks of 8 jobs
         par = run_sweep(code, big_params, config)
         assert len(seq.rows) == 24
@@ -118,10 +121,18 @@ class TestWorkerCount:
     def test_unset_is_one(self):
         assert worker_count(None, 10) == 1
 
-    def test_clamped_to_jobs_only(self):
+    def test_clamped_to_jobs(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert worker_count("2", 10) == 2
         assert worker_count("64", 3) == 3
         assert worker_count("1", 0) == 1
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (1, 1), (None, 1)])
+    def test_clamped_to_cpu_count(self, monkeypatch, cpus, expected):
+        # only the count is checked: no pool is started with such a value
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert worker_count("5000", 10**6) == expected
+        assert worker_count("3", 10) == expected
 
     @pytest.mark.parametrize("value", ["", "0", "-1", "1.5", "two", " 2", "+2", "2_0", "\u0662"])
     def test_malformed_rejected(self, value):
@@ -255,6 +266,38 @@ class TestCli:
         capsys.readouterr()
         assert main(["mindist", "--code", str(manifest)]) == 0
         assert int(capsys.readouterr().out.strip()) <= 2
+
+    def test_build_code_manifest_in_subdirectory(self, tmp_path, monkeypatch, k32_code, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("k32.bigraph").write_text(k32_code.graph.to_text())
+        Path("rep3.innercode").write_text(k32_code.inner.to_text())
+        Path("sub").mkdir()
+        rc = main(
+            ["build-code", "--graph", "k32.bigraph", "--inner", "rep3.innercode",
+             "--out", "sub/k.tanner"]
+        )
+        assert rc == 0
+        assert Path("sub/k.tanner").read_text() == "tanner v1 ../k32.bigraph ../rep3.innercode\n"
+        capsys.readouterr()
+        rc = main(
+            ["decode", "--code", "sub/k.tanner", "--word", "100",
+             "--alpha", "0.3333", "--delta", "1"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "000"
+
+    def test_build_code_whitespace_path_exit_3(self, tmp_path, monkeypatch, k32_code, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("my graph.bigraph").write_text(k32_code.graph.to_text())
+        Path("rep3.innercode").write_text(k32_code.inner.to_text())
+        rc = main(
+            ["build-code", "--graph", "my graph.bigraph", "--inner", "rep3.innercode",
+             "--out", "k.tanner"]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "whitespace" in err
+        assert not Path("k.tanner").exists()
 
     def test_sweep_cli(self, k32_bundle, tmp_path, capsys):
         out = tmp_path / "rows.csv"

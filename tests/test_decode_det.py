@@ -384,6 +384,55 @@ class TestScanEquivalence:
             assert walk_commit(big_code, params, x) == scan_commit(big_code, params, x)
 
 
+# The costliest hard_search calls on scan_small_code's code with loose bounds
+# (eps3=2.4e-5, gamma=0.2, eps4=0.3), where the walk jumps down and up its
+# chains far more than in PINNED_DECODES. Per s0, the inputs were 150 draws
+# from random.Random(f"worst-{s0}"): 30% uniform words, the rest
+# corrupt(zeros, randint(0, 12), randrange(2**30)). Each s0 pins the costliest
+# call, which exhausts, and the costliest call that commits:
+# (s0, input, committed word or None, (checks, inner_decodes, flips, nodes)),
+# recorded with the frame-per-chain walk.
+HARD_SEARCHES = [
+    (4, "00100010100010110000000011000000", None, (1644, 1644, 750, 138)),
+    (4, "10100100000000000000000011100001", "0" * 32, (528, 528, 221, 43)),
+    (6, "01110100111111100110111000000110", None, (10210, 10210, 3950, 868)),
+    (6, "00110001000000001110010000100110", "0" * 3 + "1" + "0" * 28,
+     (3721, 3721, 1275, 347)),
+    (8, "10101010110011000000011011011011", None, (77190, 77190, 28020, 6882)),
+    (8, "00000000001010010100001000000000", "0" * 32, (43719, 43719, 13839, 4771)),
+]
+
+
+def hard_params(s0: int) -> tuple[TannerCode, tf.DecoderParams]:
+    code, base = scan_small_code()
+    return code, dataclasses.replace(base, s0=s0, eps3=2.4e-5, gamma=0.2, eps4=0.3)
+
+
+@pytest.mark.parametrize("s0, word, committed, ops", HARD_SEARCHES)
+def test_pinned_hard_searches(s0, word, committed, ops):
+    code, params = hard_params(s0)
+    state = tf.DecodeState(code, params, BitVector.from_text(word))
+    try:
+        tf.hard_search(state)
+    except tf.NoAcceptableBranch:
+        assert committed is None
+        assert state.x_vector().to_text() == word
+    else:
+        assert state.x_vector().to_text() == committed
+    c = state.ops
+    assert (c.checks, c.inner_decodes, c.flips, c.nodes) == ops
+
+
+@pytest.mark.parametrize(
+    "s0, word, committed", [pin[:3] for pin in HARD_SEARCHES if pin[0] <= 6]
+)
+def test_hard_searches_match_scan(s0, word, committed):
+    # the s0=8 scan costs about 16 times the s0=6 one, so it is left out
+    code, params = hard_params(s0)
+    expected = scan_commit(code, params, BitVector.from_text(word))
+    assert (None if expected is None else expected.to_text()) == committed
+
+
 def test_no_op_chain_is_one_frame(big_code, big_params):
     # bucket 1 is empty, so the accepted sequence is 1^(s0-1) m: the walk
     # must reach it in a few nodes and one flip, not s0 frames

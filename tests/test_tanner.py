@@ -224,6 +224,17 @@ def test_bundle_round_trip(tmp_path, k32_rep3):
     assert manifest.read_text().startswith("tanner v1 ")
 
 
+@pytest.mark.parametrize(
+    "graph, inner", [("my g.bigraph", "c.innercode"), ("g.bigraph", "c\t.innercode")]
+)
+def test_write_bundle_rejects_whitespace(tmp_path, graph, inner):
+    # load_bundle splits the manifest on whitespace, so it could not read it
+    manifest = tmp_path / "code.tanner"
+    with pytest.raises(ValueError, match="whitespace"):
+        write_bundle(manifest, graph, inner)
+    assert not manifest.exists()
+
+
 def test_bundle_rejects_bad_manifest(tmp_path):
     manifest = tmp_path / "code.tanner"
     manifest.write_text("tanner v2 a b\n")
