@@ -1,27 +1,31 @@
 """Deterministic flip decoding with incremental bookkeeping.
 
-The decoder stack has four layers. A single voting-and-flip round flips every
-variable holding exactly m votes (one vote per constraint that sees a decodable
-but wrong restriction, aimed at its lowest mismatching neighbor). A bounded
-run applies a fixed sequence of such rounds, aborting when the unsatisfied
-count stops shrinking fast enough. A search layer scans sequences in
-lexicographic order until one cuts the unsatisfied count by a fixed factor.
-The top layer repeats the search until no constraint is unsatisfied, then
-finishes with one bounded-distance pass of the inner decoder.
+The decoder stack has three layers. A single voting-and-flip round
+(`easy_flip`) flips every variable holding exactly m votes (one vote per
+constraint that sees a decodable but wrong restriction, aimed at its lowest
+mismatching neighbor). The search layer (`hard_search`) scans sequences of
+such rounds in lexicographic order, pruning every prefix whose unsatisfied
+count stops shrinking fast enough, until one sequence cuts the count by a
+fixed factor. The top layer (`main_decode`) repeats the search until no
+constraint is unsatisfied, then finishes with one bounded-distance pass of
+the inner decoder. The search flips buckets through
+`DecodeState.apply_flips`, so no decoder calls `easy_flip`; it stays public
+because it is the one-round step that the lexicographic scan oracle
+(`deep_flip` in the tests) and the voting tests drive.
 
-Set-up is one whole-word syndrome pass over the input
-(`TannerCode.failing_constraints`) plus an examination of each failing
-constraint; it is counted as one check and one inner decode per constraint,
-and it is the only pass of a decode that reads every constraint. After that,
-all state updates are incremental: flipping a variable re-examines only the
-adjacent constraints, and the closing membership check
-(`DecodeState.word_is_codeword`) reads only the constraints next to the
-coordinates the decode changed. The search walk runs each chain of
-empty-bucket (no-op) levels as one generator, so a search call costs its real
-bucket flips plus O(c + log s0) per chain, rather than one step per level of
-the s0-deep sequence tree. Operation counters record every check, inner
-decode, bit flip and search node of the decoding for the cost-contract
-tests; the closing check is not counted, and is bounded by the flips.
+Set-up works from the received word's support: only the constraints next to
+its 1-coordinates are examined, and every other constraint passes by
+linearity. It is charged one check and one inner decode per constraint. No
+decode makes a whole-word pass: all state updates are incremental, so
+flipping a variable re-examines only the adjacent constraints, and the
+closing membership check (`DecodeState.word_is_codeword`) reads only the
+constraints next to the coordinates the decode changed. The search walk
+runs each chain of empty-bucket (no-op) levels as one generator, so a search
+call costs its real bucket flips plus O(c + log s0) per chain, rather than
+one step per level of the s0-deep sequence tree. Operation counters record
+every check, inner decode, bit flip and search node of the decoding for the
+cost-contract tests; the closing check is not counted, and is bounded by the
+flips.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -74,9 +79,11 @@ class DecoderParams:
     strict_product: bool
 
     @cached_property
-    def prune_bounds(self) -> list[float]:
-        """prune_bounds[k] = (1-eps3)^k * c*gamma*n, for k = 0..s0."""
-        bounds = [self.c * self.gamma * self.n]
+    def prune_bounds(self) -> array:
+        """prune_bounds[k] = (1-eps3)^k * c*gamma*n, for k = 0..s0, held as
+        C doubles, 8 bytes each (0.54 MB at s0 = 67,607): every process that
+        holds the params holds them."""
+        bounds = array("d", [self.c * self.gamma * self.n])
         for _ in range(self.s0):
             bounds.append(bounds[-1] * (1.0 - self.eps3))
         return bounds
@@ -177,13 +184,18 @@ class DecodeState:
     the coordinates where the word differs from the last committed baseline,
     so the baseline is recoverable by re-flipping it.
 
-    Set-up runs the code's whole-word syndrome pass on the input and examines
-    only the constraints it reports failing: a passing constraint has coset
-    leader 0 and sends no vote, which are the initial entries. Set-up is
-    still charged one check and one inner decode per constraint, since the
-    pass reads and checks every one of them. Set-up also keeps the received
-    word and the constraints failing on it; nothing else reads or changes
-    them, and `word_is_codeword` checks the current word against them.
+    Set-up works by linearity from the received word's support. A constraint
+    with no neighbor in supp(x) sees the all-zero restriction, an inner
+    codeword, so it passes with coset leader 0 and sends no vote: the
+    initial entries. Set-up therefore examines, in ascending order, only the
+    constraints next to the 1-coordinates of x, at most c * |x| of them, and
+    never makes a whole-word pass. It is still charged one check and one
+    inner decode per constraint: it decides every constraint's entry, those
+    away from the support by linearity, and the flat charge keeps a report a
+    function of the syndrome alone (decoding truth + e and e give equal
+    reports). Set-up also keeps the received word and the constraints
+    failing on it; nothing else reads or changes them, and
+    `word_is_codeword` checks the current word against them.
     """
 
     def __init__(self, code: TannerCode, params: DecoderParams, x: BitVector) -> None:
@@ -208,9 +220,9 @@ class DecodeState:
         self.senders = 0
         self.flip_record: set[int] = set()
         self.ops = OpCounters()
-        self._received_failing = code.failing_constraints(self.x)
-        for u in self._received_failing:
+        for u in sorted(self._constraints_next_to(self._received)):
             self._examine(u)
+        self._received_failing = frozenset(self.unsat)
         self.ops.checks = self.ops.inner_decodes = graph.n_right
 
     @property
@@ -238,17 +250,23 @@ class DecodeState:
         diff = (
             int.from_bytes(received, "little") ^ int.from_bytes(self.x, "little")
         ).to_bytes(len(received), "little")
-        left_adj = self._left_adj
-        touched: set[int] = set()
-        v = diff.find(1)
-        while v >= 0:
-            touched.update(left_adj[v])
-            v = diff.find(1, v + 1)
+        touched = self._constraints_next_to(diff)
         if not touched.issuperset(self._received_failing):
             return False
         read, word = self._read, self.x
         syndrome_bits = self.code.inner.syndrome_bits
         return not any(syndrome_bits(read(word, u)) for u in touched)
+
+    def _constraints_next_to(self, word: bytes | bytearray) -> set[int]:
+        """The constraints next to the 1-bytes of a 0/1 byte word, found with
+        bytes.find, so the cost is per 1-byte."""
+        left_adj = self._left_adj
+        touched: set[int] = set()
+        v = word.find(1)
+        while v >= 0:
+            touched.update(left_adj[v])
+            v = word.find(1, v + 1)
+        return touched
 
     def _examine(self, u: int) -> int | None:
         """Bring constraint u's entries in the invariant up to date with the

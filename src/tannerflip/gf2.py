@@ -149,31 +149,39 @@ def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
 
 
 def rref(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
-    """Reduced row-echelon form over GF(2).
+    """Reduced row-echelon form over GF(2), with columns read left-to-right
+    (bit 0 first). Returns (reduced matrix, rank, pivot columns).
 
-    Pivots are chosen scanning rows top-down and columns left-to-right, so the
-    output is deterministic. Returns (reduced matrix, rank, pivot columns).
+    Each row is reduced against a basis keyed by lowest set bit until it
+    vanishes or brings a new lowest bit; the basis rows, sorted by pivot, are
+    then back-substituted from the last pivot down. The reduced form of a row
+    space is unique, so the output does not depend on the row order: the rank
+    nonzero rows in pivot order, then the zero rows.
     """
-    work = list(m.row_bits)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(m.cols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
+    basis: dict[int, int] = {}
+    for row in m.row_bits:
+        while row:
+            low = row & -row
+            pivot_row = basis.get(low)
+            if pivot_row is None:
+                basis[low] = row
                 break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and ((work[r] >> col) & 1):
-                work[r] ^= work[rank]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return BitMatrix(m.rows, m.cols, tuple(work)), rank, pivots
+            row ^= pivot_row
+    lows = sorted(basis)
+    reduced: dict[int, int] = {}
+    above = 0  # the pivots already reduced
+    for low in reversed(lows):
+        row = basis[low]
+        hits = row & above
+        while hits:
+            high = hits & -hits
+            row ^= reduced[high]
+            hits ^= high
+        reduced[low] = row
+        above |= low
+    rank = len(lows)
+    rows = tuple(reduced[low] for low in lows) + (0,) * (m.rows - rank)
+    return BitMatrix(m.rows, m.cols, rows), rank, [low.bit_length() - 1 for low in lows]
 
 
 def gray_span(n: int, generators: tuple[int, ...]) -> Iterator[BitVector]:

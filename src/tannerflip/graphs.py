@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -98,40 +97,41 @@ def gen_random_biregular(c: int, d: int, n: int, seed: int) -> BipartiteGraph:
     if c > n_right or d > n:
         raise ValueError("degrees too large for a simple biregular graph")
     rng = random.Random(seed)
-    left_stubs = [v for v in range(n) for _ in range(c)]
     right_stubs = [u for u in range(n_right) for _ in range(d)]
     rng.shuffle(right_stubs)
 
+    # left stub i belongs to vertex i // c, so a vertex's edges are one
+    # c-slice of right_stubs, and an edge's multiplicity is a count in it
     total = n * c
-    count: Counter[tuple[int, int]] = Counter(zip(left_stubs, right_stubs))
-    bad = [i for i in range(total) if count[(left_stubs[i], right_stubs[i])] >= 2]
+
+    def edges(i: int) -> list[int]:
+        start = i - i % c
+        return right_stubs[start:start + c]
+
+    bad = []
+    for start in range(0, total, c):
+        nb = right_stubs[start:start + c]
+        if len(set(nb)) < c:
+            bad.extend(start + k for k, u in enumerate(nb) if nb.count(u) >= 2)
     attempts = 0
     cap = SWAP_CAP_FACTOR * total
     while bad:
         i = bad[-1]
-        ei = (left_stubs[i], right_stubs[i])
-        if count[ei] < 2:
+        ui, nb = right_stubs[i], edges(i)
+        if nb.count(ui) < 2:
             bad.pop()
             continue
         attempts += 1
         if attempts > cap:
             raise ValueError("edge-swap repair exceeded attempt cap; resample with a new seed")
         j = rng.randrange(total)
-        ej = (left_stubs[j], right_stubs[j])
-        ni = (left_stubs[i], right_stubs[j])
-        nj = (left_stubs[j], right_stubs[i])
+        uj = right_stubs[j]
         # the swapped pair must consist of fresh edges
-        if count[ni] or count[nj]:
+        if uj in nb or ui in edges(j):
             continue
-        count[ei] -= 1
-        count[ej] -= 1
-        count[ni] += 1
-        count[nj] += 1
-        right_stubs[i], right_stubs[j] = right_stubs[j], right_stubs[i]
+        right_stubs[i], right_stubs[j] = uj, ui
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for v, u in zip(left_stubs, right_stubs):
-        adj[v].append(u)
+    adj = [right_stubs[start:start + c] for start in range(0, total, c)]
     return BipartiteGraph(c, d, adj)
 
 

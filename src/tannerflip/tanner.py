@@ -5,14 +5,16 @@ constraint's neighborhood (taken in ascending left-vertex order) is an inner
 codeword. A restriction is read in one of two ways: `read_restriction` packs
 one constraint's restriction for the incremental decoder, and
 `failing_constraints` checks every constraint at once in a whole-word
-syndrome pass. That pass gathers the word along slot j of every constraint
+syndrome pass, for `is_codeword` and `unsatisfied`; no decode makes that
+pass. It gathers the word along slot j of every constraint
 into one byte string per slot j < d, reads each as an int, XORs the slot ints
 in each inner parity-check row's support and ORs the rows, so byte u of the
 result is 1 exactly when constraint u fails (bytes hold 0/1, so nothing
 carries).
-Global parity checks, the generator basis (one elimination, which also gives
-`dim`), and the brute-force oracles are computed lazily; decoding and sweeps
-never need them.
+The generator basis (one elimination, which also gives `dim`) and the
+brute-force oracles are computed lazily; decoding and sweeps never need
+them. The stacked global parity checks are built on each access and not
+kept, since the elimination is their only user in the library.
 """
 
 from __future__ import annotations
@@ -90,9 +92,11 @@ class TannerCode:
         """Constraints whose restriction fails the inner check."""
         return set(self.failing_constraints(x.to_bytes01()))
 
-    @cached_property
+    @property
     def global_h(self) -> BitMatrix:
-        """Stacked parity checks: each inner row mapped through a neighborhood."""
+        """Stacked parity checks: each inner row mapped through a neighborhood.
+        Built on each access and not kept: `generator` is its only user in
+        the library, and the n-bit rows are not needed after its elimination."""
         rows = []
         for u in range(self.graph.n_right):
             coords = self.graph.right_adj[u]

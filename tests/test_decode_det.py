@@ -150,7 +150,7 @@ class TestDecodeState:
                 assert_state_consistent(st, k32_code, k32_params)
 
     def test_setup_matches_examining_every_constraint(
-        self, k32_code, k32_params, big_code, big_params
+        self, k32_code, k32_params, big_code, big_params, dim3_code
     ):
         wide = TannerCode(gen_random_biregular(3, 12, 48, seed=0), wide_inner_12_6_4())
         wide_params = tf.derive_params(c=3, d=12, alpha=0.25, delta=0.8, d0=4, n=48)
@@ -159,16 +159,40 @@ class TestDecodeState:
         for code, params in ((big_code, big_params), (wide, wide_params)):
             zero = BitVector.zeros(code.n)
             cases += [(code, params, corrupt(zero, w, seed=w)) for w in (0, 1, 3, 40)]
-            cases.append((code, params, BitVector(code.n, rng.getrandbits(code.n))))
+            cases += [(code, params, BitVector(code.n, rng.getrandbits(code.n)))
+                      for _ in range(3)]
+        # dense inputs: every codeword of the dim-3 code, which are far from
+        # zero, plus a few errors, and random words
+        dim3, dim3_params = dim3_code
+        for truth in dim3.codewords():
+            cases += [(dim3, dim3_params, corrupt(truth, w, seed=30 + w)) for w in (0, 1, 3, 9)]
+        cases += [(dim3, dim3_params, BitVector(dim3.n, rng.getrandbits(dim3.n)))
+                  for _ in range(8)]
+        assert sum(x.weight() > code.n // 3 for code, _, x in cases) >= 20
         for code, params, x in cases:
             st = tf.DecodeState(code, params, x)
             ref = reference_setup(code, params, x)
             assert st.unsat == ref.unsat
+            assert st._received_failing == ref.unsat
             assert st.targets == ref.targets
             assert st.votes == ref.votes
             assert st.buckets == ref.buckets
             assert st.senders == ref.senders
             assert st.ops == ref.ops
+
+    def test_setup_keeps_a_failing_constraint_beyond_the_radius(
+        self, big_code, big_params
+    ):
+        # two errors in one [8,4,4] restriction: its leader is None, which is
+        # falsy but still a failing constraint that the closing check needs
+        u = 0
+        x = BitVector.from_indices(big_code.n, big_code.graph.right_adj[u][:2])
+        st = tf.DecodeState(big_code, big_params, x)
+        assert big_code.inner.leader_for(big_code.read_restriction(st.x, u)) is None
+        assert u in st.unsat and u in st._received_failing
+        assert st.targets[u] == -1
+        assert st._received_failing == reference_setup(big_code, big_params, x).unsat
+        assert not st.word_is_codeword()
 
     def test_param_length_mismatch(self, k32_code):
         p = tf.derive_params(c=2, d=3, alpha=1 / 3, delta=1.0, d0=3, n=6)
@@ -736,21 +760,31 @@ class TestClosingCheck:
         c = big_code.graph.c
         assert all(0 < reads <= c * flips for reads, flips in calls), calls
 
-    def test_one_whole_word_pass_per_decode(self, big_code, big_params, monkeypatch):
-        passes = []
-        whole_word = TannerCode.failing_constraints
+    def test_no_whole_word_pass_per_decode(self, big_code, big_params, monkeypatch):
+        def refused(*args):
+            raise AssertionError("decoders must not make a whole-word pass")
 
-        def counted(code, word):
-            passes.append(len(word))
-            return whole_word(code, word)
+        reads = []
+        read = TannerCode.read_restriction
 
-        def refused(code, x):
-            raise AssertionError("decoders must not call is_codeword")
+        def counted(code, word, u):
+            reads.append(u)
+            return read(code, word, u)
 
-        monkeypatch.setattr(TannerCode, "failing_constraints", counted)
+        monkeypatch.setattr(TannerCode, "failing_constraints", refused)
         monkeypatch.setattr(TannerCode, "is_codeword", refused)
+        monkeypatch.setattr(TannerCode, "read_restriction", counted)
         zero = BitVector.zeros(big_code.n)
-        tf.main_decode(big_code, big_params, corrupt(zero, 3, seed=9))
+        c = big_code.graph.c
+        for weight, seed in ((0, 1), (1, 2), (3, 9), (30, 9), (300, 4)):
+            x = corrupt(zero, weight, seed)
+            reads.clear()
+            state = tf.DecodeState(big_code, big_params, x)
+            assert state._read.__func__ is counted
+            support = {u for v in x.indices() for u in big_code.graph.left_adj[v]}
+            assert sorted(reads) == sorted(support) and len(reads) <= c * weight
+            assert state.ops.checks == state.ops.inner_decodes == big_code.graph.n_right
+        assert tf.main_decode(big_code, big_params, corrupt(zero, 3, seed=9)) == zero
         cfg = tf.RandDecodeConfig.for_params(big_params, seed=9)
-        tf.randomized_decode(big_code, big_params, cfg, corrupt(zero, 30, seed=9))
-        assert passes == [big_code.n, big_code.n]
+        x = corrupt(zero, 30, seed=9)
+        assert tf.randomized_decode(big_code, big_params, cfg, x) == zero

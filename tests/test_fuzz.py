@@ -2,7 +2,8 @@
 
 A decoder given any word of a small code returns a word that passes the
 from-scratch membership check, or raises DecodeFailure or RandomizedAbort.
-A parser given any text returns an object or raises ValueError."""
+A parser given any text returns an object or raises ValueError, and a
+manifest that names any files loads a code or raises ValueError or OSError."""
 
 from __future__ import annotations
 
@@ -106,3 +107,65 @@ def test_parsers_on_arbitrary_text(text):
         pass
     else:
         assert tf.InnerCode.from_text(inner.to_text()).h == inner.h
+
+
+_MANIFEST_FILES = {
+    "g.bigraph": _VALID[0],
+    "c.innercode": _VALID[2],
+    "h.innercode": _VALID[3],
+    "bad.bigraph": "1 0 1 0\n0\n",
+}
+_MANIFEST_NAMES = [*_MANIFEST_FILES, "m.tanner", "latin1.bin", "sub", "..", ".", "missing"]
+
+
+@pytest.fixture(scope="module")
+def bundle_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("bundles")
+    for name, text in _MANIFEST_FILES.items():
+        (base / name).write_text(text)
+    (base / "latin1.bin").write_bytes(b"\xff\xfe 2 3\n")
+    (base / "sub").mkdir()
+    return base
+
+
+# path-free text: every name resolves inside the bundle directory or its parent
+_token = st.one_of(
+    st.sampled_from(_MANIFEST_NAMES),
+    st.text(alphabet=st.characters(blacklist_characters="/\\"), max_size=8),
+)
+
+
+@st.composite
+def _manifest(draw) -> str:
+    """A valid manifest with a few tokens dropped, repeated or replaced, or
+    any text."""
+    tokens = ["tanner", "v1", "g.bigraph", "c.innercode"]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["drop", "repeat", "replace"]))
+        if edit == "replace" or not tokens:
+            tokens[i:i + 1] = [draw(_token)]
+        elif edit == "drop":
+            del tokens[min(i, len(tokens) - 1)]
+        else:
+            tokens.insert(i, tokens[min(i, len(tokens) - 1)])
+    sep = draw(st.sampled_from([" ", "\t", "\n", "  "]))
+    return sep.join(tokens) + draw(st.sampled_from(["", "\n", " \n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(_manifest(), st.text(max_size=40)))
+@example("tanner v1 g.bigraph c.innercode\n")
+@example("tanner v1 g.bigraph h.innercode\n")
+@example("tanner v1 sub c.innercode\n")
+@example("tanner v1 latin1.bin c.innercode\n")
+@example("tanner v1 g.bigraph\x00 c.innercode\n")
+def test_manifest_parser_on_arbitrary_text(bundle_dir, text):
+    manifest = bundle_dir / "m.tanner"
+    manifest.write_text(text)
+    try:
+        code = tf.load_bundle(manifest)
+    except (ValueError, OSError):
+        return
+    assert isinstance(code, tf.TannerCode)
+    assert code.graph.d == code.inner.d

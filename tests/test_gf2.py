@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -62,6 +63,50 @@ class TestRref:
     def test_rank_two(self):
         _, rank, _ = rref(BitMatrix.from_rows([[1, 1, 0], [1, 0, 1]]))
         assert rank == 2
+
+
+def column_scan_rref(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
+    """The reference elimination: pivots found scanning columns left to right
+    and rows top-down, each pivot row cleared from every other row."""
+    work = list(m.row_bits)
+    pivots: list[int] = []
+    rank = 0
+    for col in range(m.cols):
+        pivot = next((r for r in range(rank, len(work)) if (work[r] >> col) & 1), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(len(work)):
+            if r != rank and (work[r] >> col) & 1:
+                work[r] ^= work[rank]
+        pivots.append(col)
+        rank += 1
+        if rank == len(work):
+            break
+    return BitMatrix(m.rows, m.cols, tuple(work)), rank, pivots
+
+
+def test_rref_matches_column_scan_reference(dim3_code):
+    rng = random.Random(2024)
+    deficient = 0
+    for _ in range(2000):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 16)
+        # rows drawn from the span of a few random rows: often rank-deficient
+        span = [rng.getrandbits(cols) for _ in range(rng.randint(1, rows))]
+        bits = []
+        for _ in range(rows):
+            word = 0
+            for row in span:
+                if rng.getrandbits(1):
+                    word ^= row
+            bits.append(word)
+        m = BitMatrix(rows, cols, tuple(bits))
+        expected = column_scan_rref(m)
+        assert rref(m) == expected, m
+        deficient += expected[1] < min(rows, cols)
+    assert deficient >= 1000
+    code, _ = dim3_code
+    assert rref(code.global_h) == column_scan_rref(code.global_h)
 
 
 class TestNullspace:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -50,6 +51,23 @@ class TestGeneration:
         c = gen_random_biregular(3, 4, 16, seed=6)
         assert a.left_adj == b.left_adj
         assert a.left_adj != c.left_adj
+
+    # sha256 of to_text(): generation must make the same rng calls and give
+    # the same graph for every seed, however it is written
+    PINNED_GRAPHS = {
+        (12, 8, 2000, 1): "da20365bad5f9db6a2d6c2f379090830048daf2db260666b005e3ae2278f2225",
+        (12, 8, 2000, 2): "c87d90565956a31d72532d78e1ee81f909d21cb6eddb0d495ef4c77d906f75df",
+        (12, 8, 8000, 3): "5b57b5d4ddc64d616b307fff162b35f41dffcfbcf971fbef7a25e9ff29051763",
+        (12, 8, 32000, 1): "3313c2aeb5be32e08d3c50213cb5923cd65af0515949b51560bb00f0f4a00cfb",
+        (2, 8, 64, 3): "b58d1951803cbabfa75a29bbdc12b56ad121c8871d62bd2e65457005439bed22",
+        (4, 8, 32, 1): "cc73cb52b6c98fe52909bda3136bf83e00257b225bbcc74dff61da158210fb97",
+        (3, 6, 60, 7): "1b11e4ce0df62649fc7978001d9594b222f5c20eb6379d73500d69186d19c20b",
+    }
+
+    @pytest.mark.parametrize("args", list(PINNED_GRAPHS))
+    def test_pinned_graphs(self, args):
+        text = gen_random_biregular(*args).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_GRAPHS[args]
 
     def test_mutual_consistency(self):
         g = gen_random_biregular(4, 8, 32, seed=3)
