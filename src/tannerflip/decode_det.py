@@ -13,13 +13,17 @@ the inner decoder. The search flips buckets through
 because it is the one-round step that the lexicographic scan oracle
 (`deep_flip` in the tests) and the voting tests drive.
 
-Set-up works from the received word's support: only the constraints next to
-its 1-coordinates are examined, and every other constraint passes by
-linearity. It is charged one check and one inner decode per constraint. No
-decode makes a whole-word pass: all state updates are incremental, so
-flipping a variable re-examines only the adjacent constraints, and the
-closing membership check (`DecodeState.word_is_codeword`) reads only the
-constraints next to the coordinates the decode changed. The search walk
+The state keeps each constraint's inner syndrome up to date by XOR: flipping
+a variable XORs one column syndrome of the inner code into each adjacent
+constraint's syndrome, and one batched loop then refreshes those
+constraints, each by one coset-leader lookup, with the vote moves inline.
+Set-up is the same update applied to the received word's support: only the
+constraints next to its 1-coordinates are refreshed, and every other
+constraint passes by linearity. It is charged one check and one inner decode
+per constraint. No decode makes a whole-word pass: all state updates are
+incremental, so flipping a variable refreshes only the adjacent constraints,
+and the closing membership check (`DecodeState.word_is_codeword`) reads only
+the constraints next to the coordinates the decode changed. The search walk
 runs each chain of empty-bucket (no-op) levels as one generator, so a search
 call costs its real bucket flips plus O(c + log s0) per chain, rather than
 one step per level of the s0-deep sequence tree. Operation counters record
@@ -174,28 +178,45 @@ class OpCounters:
         return OpCounters(self.checks, self.inner_decodes, self.flips, self.nodes)
 
 
+def _ones(word: bytes) -> list[int]:
+    """The positions of the 1-bytes of a 0/1 byte word, found with
+    bytes.find, so the cost is per 1-byte."""
+    ones = []
+    v = word.find(1)
+    while v >= 0:
+        ones.append(v)
+        v = word.find(1, v + 1)
+    return ones
+
+
 class DecodeState:
     """Mutable decoding state over an immutable code.
 
-    Invariant at every operation boundary: `unsat` is exactly the set of
-    failing constraints for the current word, `targets[u]` is the vote sent by
-    constraint u (-1 for none), `votes[v]` counts the votes on variable v, and
-    `buckets[m]` holds the variables with exactly m votes. `flip_record` holds
-    the coordinates where the word differs from the last committed baseline,
-    so the baseline is recoverable by re-flipping it.
+    Invariant at every operation boundary: `_syn[u]` is the inner syndrome of
+    constraint u's restriction of the current word, `unsat` is exactly the
+    set of failing constraints for the current word, `targets[u]` is the
+    vote sent by constraint u (-1 for none), `votes[v]` counts the votes on
+    variable v, and `buckets[m]` holds the variables with exactly m votes.
+    `flip_record` holds the coordinates where the word differs from the last
+    committed baseline, so the baseline is recoverable by re-flipping it.
 
-    Set-up works by linearity from the received word's support. A constraint
-    with no neighbor in supp(x) sees the all-zero restriction, an inner
-    codeword, so it passes with coset leader 0 and sends no vote: the
-    initial entries. Set-up therefore examines, in ascending order, only the
-    constraints next to the 1-coordinates of x, at most c * |x| of them, and
-    never makes a whole-word pass. It is still charged one check and one
-    inner decode per constraint: it decides every constraint's entry, those
-    away from the support by linearity, and the flat charge keeps a report a
-    function of the syndrome alone (decoding truth + e and e give equal
-    reports). Set-up also keeps the received word and the constraints
-    failing on it; nothing else reads or changes them, and
-    `word_is_codeword` checks the current word against them.
+    Flipping v XORs the syndrome of the unit vector at v's slot in u's
+    neighborhood into `_syn[u]`, for each constraint u next to v; then
+    `_refresh` brings the dirty constraints' entries up to date in one loop,
+    each by one coset-leader lookup on its syndrome. No restriction is read.
+
+    Set-up is the same update applied to supp(x), from the zero word's state,
+    which is the initial one: every syndrome 0, so every constraint passes
+    with coset leader 0 and sends no vote. Set-up therefore refreshes, in
+    ascending order, only the constraints next to the 1-coordinates of x, at
+    most c * |x| of them, and never makes a whole-word pass. It charges no
+    flips. It is still charged one check and one inner decode per
+    constraint: it decides every constraint's entry, those away from the
+    support by linearity, and the flat charge keeps a report a function of
+    the syndrome alone (decoding truth + e and e give equal reports). Set-up
+    also keeps the received word and the constraints failing on it; nothing
+    else reads or changes them, and `word_is_codeword` checks the current
+    word against them.
     """
 
     def __init__(self, code: TannerCode, params: DecoderParams, x: BitVector) -> None:
@@ -209,10 +230,12 @@ class DecodeState:
         graph = code.graph
         self._left_adj = graph.left_adj
         self._right_adj = graph.right_adj
-        self._leader_for = code.inner.leader_for
+        self._column_syndromes = code.inner.column_syndromes
+        self._syndrome_table = code.inner.syndrome_table
         self._read = code.read_restriction
         self._received = x.to_bytes01()
         self.x = bytearray(self._received)
+        self._syn = [0] * graph.n_right
         self.unsat: set[int] = set()
         self.targets = [-1] * graph.n_right
         self.votes = [0] * graph.n_left
@@ -220,8 +243,7 @@ class DecodeState:
         self.senders = 0
         self.flip_record: set[int] = set()
         self.ops = OpCounters()
-        for u in sorted(self._constraints_next_to(self._received)):
-            self._examine(u)
+        self._refresh(sorted(self._flip_syndromes(_ones(self._received))))
         self._received_failing = frozenset(self.unsat)
         self.ops.checks = self.ops.inner_decodes = graph.n_right
 
@@ -244,83 +266,98 @@ class DecodeState:
         constraints, no more than c * ops.flips when the word changed by
         flips only. It reads the word, the received word and its failing
         constraints as kept at set-up, and none of the incremental
-        bookkeeping, so it stays an independent check of the output.
+        bookkeeping (`_syn` included), so it stays an independent check of
+        the output.
         """
         received = self._received
         diff = (
             int.from_bytes(received, "little") ^ int.from_bytes(self.x, "little")
         ).to_bytes(len(received), "little")
-        touched = self._constraints_next_to(diff)
+        left_adj = self._left_adj
+        touched: set[int] = set()
+        for v in _ones(diff):
+            touched.update(left_adj[v])
         if not touched.issuperset(self._received_failing):
             return False
         read, word = self._read, self.x
         syndrome_bits = self.code.inner.syndrome_bits
         return not any(syndrome_bits(read(word, u)) for u in touched)
 
-    def _constraints_next_to(self, word: bytes | bytearray) -> set[int]:
-        """The constraints next to the 1-bytes of a 0/1 byte word, found with
-        bytes.find, so the cost is per 1-byte."""
-        left_adj = self._left_adj
-        touched: set[int] = set()
-        v = word.find(1)
-        while v >= 0:
-            touched.update(left_adj[v])
-            v = word.find(1, v + 1)
-        return touched
+    def _flip_syndromes(self, vs) -> set[int]:
+        """XOR the flip of each variable in vs into the syndromes of the
+        constraints next to it; returns those constraints."""
+        left_adj, right_adj = self._left_adj, self._right_adj
+        syn, columns = self._syn, self._column_syndromes
+        dirty: set[int] = set()
+        for v in vs:
+            adj = left_adj[v]
+            for u in adj:
+                syn[u] ^= columns[right_adj[u].index(v)]
+            dirty.update(adj)
+        return dirty
+
+    def _refresh(self, us) -> None:
+        """Bring the entries of the constraints us in the invariant up to
+        date with their syndromes, counting one check and one inner decode
+        each: one coset-leader lookup, then the vote moves inline."""
+        ops = self.ops
+        ops.checks += len(us)
+        ops.inner_decodes += len(us)
+        syn, table, t = self._syn, self._syndrome_table, self.t
+        right_adj, targets = self._right_adj, self.targets
+        votes, buckets, unsat = self.votes, self.buckets, self.unsat
+        senders = self.senders
+        for u in us:
+            leader = table.get(syn[u])
+            new = -1
+            if leader == 0:
+                unsat.discard(u)
+            else:
+                unsat.add(u)
+                # None: beyond the inner radius, so failing but voteless
+                if leader and leader.bit_count() <= t:
+                    new = right_adj[u][(leader & -leader).bit_length() - 1]
+            old = targets[u]
+            if new != old:
+                if old >= 0:
+                    m = votes[old]
+                    buckets[m].discard(old)
+                    m -= 1
+                    votes[old] = m
+                    if m:
+                        buckets[m].add(old)
+                    senders -= 1
+                if new >= 0:
+                    m = votes[new]
+                    if m:
+                        buckets[m].discard(new)
+                    m += 1
+                    votes[new] = m
+                    buckets[m].add(new)
+                    senders += 1
+                targets[u] = new
+        self.senders = senders
 
     def _examine(self, u: int) -> int | None:
-        """Bring constraint u's entries in the invariant up to date with the
-        current word, counting one check and one inner decode; returns the
-        coset leader of u's restriction (None beyond the inner radius)."""
-        coords = self._right_adj[u]
-        ops = self.ops
-        ops.checks += 1
-        ops.inner_decodes += 1
-        leader = self._leader_for(self._read(self.x, u))
-        if leader == 0:
-            self.unsat.discard(u)
-        else:
-            self.unsat.add(u)
-        new = -1
-        if leader and leader.bit_count() <= self.t:
-            new = coords[(leader & -leader).bit_length() - 1]
-        old = self.targets[u]
-        if new != old:
-            if old >= 0:
-                self._move_vote(old, -1)
-                self.senders -= 1
-            if new >= 0:
-                self._move_vote(new, +1)
-                self.senders += 1
-            self.targets[u] = new
-        return leader
-
-    def _move_vote(self, v: int, delta: int) -> None:
-        m = self.votes[v]
-        if m >= 1:
-            self.buckets[m].discard(v)
-        m += delta
-        self.votes[v] = m
-        if m >= 1:
-            self.buckets[m].add(v)
+        """Refresh constraint u alone; returns the coset leader of its
+        restriction (None beyond the inner radius)."""
+        self._refresh((u,))
+        return self._syndrome_table.get(self._syn[u])
 
     def apply_flips(self, vs) -> list[int]:
         """Flip the given variables and refresh the adjacent constraints."""
         flipped = sorted(vs)
         if not flipped:
             return flipped
-        rec = self.flip_record
-        dirty: set[int] = set()
+        x, rec = self.x, self.flip_record
         for v in flipped:
-            self.x[v] ^= 1
+            x[v] ^= 1
             if v in rec:
                 rec.discard(v)
             else:
                 rec.add(v)
-            dirty.update(self._left_adj[v])
         self.ops.flips += len(flipped)
-        for u in sorted(dirty):
-            self._examine(u)
+        self._refresh(sorted(self._flip_syndromes(flipped)))
         return flipped
 
     def restore_baseline(self) -> None:

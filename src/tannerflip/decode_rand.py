@@ -13,10 +13,14 @@ committed, to `main_decode`, so the report's counters cover both phases.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+try:  # the C module alone: importing hashlib also loads OpenSSL
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .gf2 import BitVector
 from .decode_det import DecodeReport, DecodeState, DecoderParams, main_decode
@@ -63,7 +67,7 @@ class RandDecodeConfig:
 
 def vertex_draw(seed: int, iteration: int, vertex: int) -> float:
     """Uniform [0,1) draw keyed by (seed, iteration, vertex)."""
-    h = hashlib.blake2b(
+    h = blake2b(
         iteration.to_bytes(8, "little") + vertex.to_bytes(8, "little"),
         digest_size=8,
         key=(seed & (2**64 - 1)).to_bytes(8, "little"),

@@ -1,10 +1,12 @@
 """Inner linear code with bounded-distance syndrome decoding.
 
 The code is defined by a parity-check matrix over GF(2). Construction
-brute-forces the minimum distance, tabulates the syndrome of every 8-bit chunk
-of a word, and builds a complete syndrome -> coset leader table out to the
-guaranteed correction radius, so membership checks and bounded-distance
-decoding are table lookups.
+brute-forces the minimum distance, keeps the syndrome of each unit vector
+(`column_syndromes`: flipping bit j of a word XORs entry j into its
+syndrome), tabulates the syndrome of every 8-bit chunk of a word, and
+builds a complete syndrome -> coset leader table out to the guaranteed
+correction radius, so membership checks and bounded-distance decoding are
+table lookups.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ class InnerCode:
         self.h = h
         self.g = BitMatrix(self.k0, self.d, tuple(v.bits for v in g_rows))
         self.radius = (d0 - 1) // 2
-        self._chunk_syndromes = _chunk_syndrome_tables(h)
+        self.column_syndromes = _column_syndromes(h)
+        self._chunk_syndromes = _chunk_syndrome_tables(self.column_syndromes)
         self.syndrome_table = self._build_syndrome_table()
 
     @classmethod
@@ -132,13 +135,21 @@ class InnerCode:
         return cls.from_parity_check(BitMatrix.from_rows(rows))
 
 
-def _chunk_syndrome_tables(h: BitMatrix) -> tuple[tuple[int, ...], ...]:
-    """tables[k][w] is the syndrome of the word whose bits 8k..8k+7 are w."""
-    column_syndromes = [0] * (8 * -(-h.cols // 8))
+def _column_syndromes(h: BitMatrix) -> tuple[int, ...]:
+    """Entry j is the syndrome of the unit vector with bit j set."""
+    columns = [0] * h.cols
     for i, row in enumerate(h.row_bits):
         for j in range(h.cols):
             if (row >> j) & 1:
-                column_syndromes[j] |= 1 << i
+                columns[j] |= 1 << i
+    return tuple(columns)
+
+
+def _chunk_syndrome_tables(
+    column_syndromes: tuple[int, ...],
+) -> tuple[tuple[int, ...], ...]:
+    """tables[k][w] is the syndrome of the word whose bits 8k..8k+7 are w."""
+    column_syndromes += (0,) * (-len(column_syndromes) % 8)
     tables = []
     for k in range(0, len(column_syndromes), 8):
         table = [0] * 256

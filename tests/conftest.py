@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from collections import Counter
 
 import pytest
 
 import tannerflip as tf
-from tannerflip.gf2 import BitMatrix
+from tannerflip.gf2 import BitMatrix, BitVector
 
 warnings.filterwarnings(
     "ignore", message="delta\\*d0", category=UserWarning
@@ -52,6 +53,45 @@ def wide_inner_12_6_4() -> tf.InnerCode:
     )
 
 
+def reference_votes(code: tf.TannerCode, params, x: BitVector):
+    """Recompute the voting state from definitions via decode_bounded."""
+    unsat = code.unsatisfied(x)
+    targets = {}
+    votes: Counter[int] = Counter()
+    for u in range(code.graph.n_right):
+        r_bits = 0
+        for j, v in enumerate(code.graph.right_adj[u]):
+            r_bits |= x.bit(v) << j
+        decoded = code.inner.decode_bounded(BitVector(code.inner.d, r_bits))
+        if decoded is None:
+            continue
+        mismatch = decoded.bits ^ r_bits
+        if not 1 <= mismatch.bit_count() <= params.t:
+            continue
+        pos = (mismatch & -mismatch).bit_length() - 1
+        v = code.graph.right_adj[u][pos]
+        targets[u] = v
+        votes[v] += 1
+    return unsat, targets, votes
+
+
+def reference_syndromes(code: tf.TannerCode, word) -> list[int]:
+    """Each constraint's inner syndrome, read from the word itself."""
+    syndrome_bits, read = code.inner.syndrome_bits, code.read_restriction
+    return [syndrome_bits(read(word, u)) for u in range(code.graph.n_right)]
+
+
+def assert_state_consistent(state: tf.DecodeState, code, params):
+    assert state._syn == reference_syndromes(code, state.x)
+    unsat, targets, votes = reference_votes(code, params, state.x_vector())
+    assert state.unsat == unsat
+    assert {u: t for u, t in enumerate(state.targets) if t >= 0} == targets
+    assert {v: m for v, m in enumerate(state.votes) if m} == dict(votes)
+    for m in range(1, code.graph.c + 1):
+        assert state.buckets[m] == {v for v, k in votes.items() if k == m}
+    assert state.senders == len(targets)
+
+
 @pytest.fixture(scope="session")
 def k32_code() -> tf.TannerCode:
     """The unique simple (2,3)-biregular graph on 3+2 vertices, repetition inner."""
@@ -90,6 +130,14 @@ def scan_small_code() -> tuple[tf.TannerCode, tf.DecoderParams]:
     """(4,8) random graph at n=32 with the [8,4,4] inner code."""
     code = tf.TannerCode(tf.gen_random_biregular(4, 8, 32, seed=2), ext_hamming_inner())
     params = tf.derive_params(c=4, d=8, alpha=0.1, delta=0.8, d0=4, n=32)
+    return code, params
+
+
+def wide_small_code() -> tuple[tf.TannerCode, tf.DecoderParams]:
+    """(3,12) random graph at n=48 with the [12,6,4] inner code, whose
+    restrictions span two 8-bit chunks."""
+    code = tf.TannerCode(tf.gen_random_biregular(3, 12, 48, seed=0), wide_inner_12_6_4())
+    params = tf.derive_params(c=3, d=12, alpha=0.25, delta=0.8, d0=4, n=48)
     return code, params
 
 

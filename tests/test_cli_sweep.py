@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from tannerflip.sweep import (
     CSV_HEADER,
     ExperimentConfig,
     UsageError,
+    derive_seed,
     parse_csv,
     run_sweep,
     worker_count,
@@ -42,6 +44,17 @@ def k32_bundle(tmp_path, k32_code):
 
 
 class TestSweep:
+    @pytest.mark.parametrize("root", [0, 1, 7, 2**64 + 9, -1])
+    def test_derive_seed_matches_hashlib_reference(self, root):
+        # the seeds must not depend on which module supplies blake2b
+        for parts in ((), (3,), (9, 0), (2, 31, -4)):
+            data = b"".join(p.to_bytes(8, "little", signed=True) for p in parts)
+            h = hashlib.blake2b(
+                data, digest_size=8, key=(root & (2**64 - 1)).to_bytes(8, "little")
+            )
+            expected = int.from_bytes(h.digest(), "little") >> 1
+            assert derive_seed(root, *parts) == expected
+
     def test_weight_zero_all_succeed(self, k32_code, k32_params):
         config = ExperimentConfig(weights=(0,), trials=4, seed=1)
         report = run_sweep(k32_code, k32_params, config)

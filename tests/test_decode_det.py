@@ -11,11 +11,17 @@ import pytest
 
 import tannerflip as tf
 from tannerflip.gf2 import BitVector
-from tannerflip.graphs import BipartiteGraph, gen_random_biregular
+from tannerflip.graphs import BipartiteGraph
 from tannerflip.inner import parity_check_code, repetition_code
 from tannerflip.tanner import TannerCode, corrupt
 
-from conftest import ext_hamming_inner, scan_small_code, wide_inner_12_6_4
+from conftest import (
+    assert_state_consistent,
+    ext_hamming_inner,
+    reference_syndromes,
+    scan_small_code,
+    wide_small_code,
+)
 
 
 def blocks_graph(blocks: int, d: int) -> BipartiteGraph:
@@ -81,44 +87,13 @@ class TestDeriveParams:
             tf.derive_params(**args)
 
 
-def reference_votes(code: TannerCode, params, x: BitVector):
-    """Recompute the voting state from definitions via decode_bounded."""
-    unsat = code.unsatisfied(x)
-    targets = {}
-    votes: Counter[int] = Counter()
-    for u in range(code.graph.n_right):
-        r_bits = 0
-        for j, v in enumerate(code.graph.right_adj[u]):
-            r_bits |= x.bit(v) << j
-        decoded = code.inner.decode_bounded(BitVector(code.inner.d, r_bits))
-        if decoded is None:
-            continue
-        mismatch = decoded.bits ^ r_bits
-        if not 1 <= mismatch.bit_count() <= params.t:
-            continue
-        pos = (mismatch & -mismatch).bit_length() - 1
-        v = code.graph.right_adj[u][pos]
-        targets[u] = v
-        votes[v] += 1
-    return unsat, targets, votes
-
-
-def assert_state_consistent(state: tf.DecodeState, code, params):
-    unsat, targets, votes = reference_votes(code, params, state.x_vector())
-    assert state.unsat == unsat
-    assert {u: t for u, t in enumerate(state.targets) if t >= 0} == targets
-    assert {v: m for v, m in enumerate(state.votes) if m} == dict(votes)
-    for m in range(1, code.graph.c + 1):
-        assert state.buckets[m] == {v for v, k in votes.items() if k == m}
-    assert state.senders == len(targets)
-
-
 def reference_setup(code: TannerCode, params, x: BitVector) -> tf.DecodeState:
-    """The set-up as one _examine per constraint, ascending. It starts from a
-    state over the zero word, a codeword whose bookkeeping is the initial
-    one."""
+    """The set-up as one _examine per constraint, ascending, after reading
+    every constraint's syndrome from the word. It starts from a state over
+    the zero word, a codeword whose bookkeeping is the initial one."""
     st = tf.DecodeState(code, params, BitVector.zeros(code.n))
     st.x[:] = x.to_bytes01()
+    st._syn[:] = reference_syndromes(code, st.x)
     st.ops = tf.OpCounters()
     for u in range(code.graph.n_right):
         st._examine(u)
@@ -152,8 +127,7 @@ class TestDecodeState:
     def test_setup_matches_examining_every_constraint(
         self, k32_code, k32_params, big_code, big_params, dim3_code
     ):
-        wide = TannerCode(gen_random_biregular(3, 12, 48, seed=0), wide_inner_12_6_4())
-        wide_params = tf.derive_params(c=3, d=12, alpha=0.25, delta=0.8, d0=4, n=48)
+        wide, wide_params = wide_small_code()
         rng = random.Random(13)
         cases = [(k32_code, k32_params, BitVector(3, bits)) for bits in range(8)]
         for code, params in ((big_code, big_params), (wide, wide_params)):
@@ -172,6 +146,7 @@ class TestDecodeState:
         for code, params, x in cases:
             st = tf.DecodeState(code, params, x)
             ref = reference_setup(code, params, x)
+            assert st._syn == ref._syn
             assert st.unsat == ref.unsat
             assert st._received_failing == ref.unsat
             assert st.targets == ref.targets
@@ -764,25 +739,32 @@ class TestClosingCheck:
         def refused(*args):
             raise AssertionError("decoders must not make a whole-word pass")
 
-        reads = []
-        read = TannerCode.read_restriction
+        reads, refreshed = [], []
+        read, refresh = TannerCode.read_restriction, tf.DecodeState._refresh
 
         def counted(code, word, u):
             reads.append(u)
             return read(code, word, u)
 
+        def refresh_counted(state, us):
+            refreshed.extend(us)
+            return refresh(state, us)
+
         monkeypatch.setattr(TannerCode, "failing_constraints", refused)
         monkeypatch.setattr(TannerCode, "is_codeword", refused)
         monkeypatch.setattr(TannerCode, "read_restriction", counted)
+        monkeypatch.setattr(tf.DecodeState, "_refresh", refresh_counted)
         zero = BitVector.zeros(big_code.n)
         c = big_code.graph.c
         for weight, seed in ((0, 1), (1, 2), (3, 9), (30, 9), (300, 4)):
             x = corrupt(zero, weight, seed)
             reads.clear()
+            refreshed.clear()
             state = tf.DecodeState(big_code, big_params, x)
             assert state._read.__func__ is counted
+            assert reads == []
             support = {u for v in x.indices() for u in big_code.graph.left_adj[v]}
-            assert sorted(reads) == sorted(support) and len(reads) <= c * weight
+            assert refreshed == sorted(support) and len(refreshed) <= c * weight
             assert state.ops.checks == state.ops.inner_decodes == big_code.graph.n_right
         assert tf.main_decode(big_code, big_params, corrupt(zero, 3, seed=9)) == zero
         cfg = tf.RandDecodeConfig.for_params(big_params, seed=9)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import statistics
@@ -44,6 +45,18 @@ class TestConfig:
 
 
 class TestVertexDraw:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, -3])
+    def test_matches_hashlib_reference(self, seed):
+        # the draws must not depend on which module supplies blake2b
+        for iteration, vertex in ((0, 0), (1, 7), (12, 31999)):
+            h = hashlib.blake2b(
+                iteration.to_bytes(8, "little") + vertex.to_bytes(8, "little"),
+                digest_size=8,
+                key=(seed & (2**64 - 1)).to_bytes(8, "little"),
+            )
+            expected = int.from_bytes(h.digest(), "little") / 2**64
+            assert vertex_draw(seed, iteration, vertex) == expected
+
     def test_deterministic_and_in_range(self):
         a = vertex_draw(42, 1, 7)
         assert a == vertex_draw(42, 1, 7)
@@ -272,19 +285,20 @@ class TestHandOff:
     ):
         examined = [0]
         in_setup = [False]
-        setup, examine = DecodeState.__init__, DecodeState._examine
+        setup, refresh = DecodeState.__init__, DecodeState._refresh
 
         def init(state, *args):
             in_setup[0] = True  # set-up is charged n_right checks instead
             setup(state, *args)
             in_setup[0] = False
 
-        def counted(state, u):
-            examined[0] += not in_setup[0]
-            return examine(state, u)
+        def counted(state, us):
+            if not in_setup[0]:
+                examined[0] += len(us)
+            return refresh(state, us)
 
         monkeypatch.setattr(DecodeState, "__init__", init)
-        monkeypatch.setattr(DecodeState, "_examine", counted)
+        monkeypatch.setattr(DecodeState, "_refresh", counted)
         report = tf.RandDecodeReport()
         word = rand_decode_big(big_code, big_params, weight, seed, report)
         assert report.handed_off == handed_off == (word is not None)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +23,13 @@ EXPORTING = [
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_import_leaves_openssl_unloaded():
+    # hashlib loads OpenSSL (_hashlib), a few MB of resident memory that the
+    # library's only hash, blake2b, does not need
+    env = dict(os.environ)
+    src = str(Path(tannerflip.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, tannerflip; assert '_hashlib' not in sys.modules"
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)

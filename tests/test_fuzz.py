@@ -15,7 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 import tannerflip as tf
 from tannerflip.gf2 import BitVector
 
-from conftest import ext_hamming_inner, scan_small_code
+from conftest import (
+    assert_state_consistent,
+    ext_hamming_inner,
+    scan_small_code,
+    wide_small_code,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +31,7 @@ def small_codes(k32_code, k32_params, dim3_code):
         # a short schedule, so that hard_search runs on every input
         "4_8_n32": (code48, dataclasses.replace(params48, s0=3, ell=4)),
         "dim3_2_8_n64": dim3_code,
+        "wide_3_12_n48": wide_small_code(),
     }
 
 
@@ -56,6 +62,34 @@ def test_decoders_on_arbitrary_words(small_codes, name, data):
     _assert_codeword_or_typed_failure(
         code, lambda: tf.randomized_decode(code, params, cfg, x)
     )
+
+
+@pytest.mark.parametrize("name", ["k32_rep3", "4_8_n32", "dim3_2_8_n64", "wide_3_12_n48"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flips_keep_the_state_current(small_codes, name, data):
+    # each step flips an arbitrary set or a vote bucket, rewinds to the
+    # baseline or commits; the syndromes and votes must match the word after
+    # each
+    code, params = small_codes[name]
+    n, c = code.n, code.graph.c
+    state = tf.DecodeState(code, params, _word(data, n))
+    steps = st.one_of(
+        st.sets(st.integers(0, n - 1), max_size=6),
+        st.integers(1, c),
+        st.just("restore"),
+        st.just("commit"),
+    )
+    for step in data.draw(st.lists(steps, max_size=8)):
+        if step == "restore":
+            state.restore_baseline()
+        elif step == "commit":
+            state.commit()
+        elif isinstance(step, int):
+            tf.easy_flip(state, step)
+        else:
+            state.apply_flips(step)
+        assert_state_consistent(state, code, params)
 
 
 _ints = st.integers(-1, 6).map(str)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -156,6 +157,33 @@ def test_chunk_syndromes_match_row_loop(make):
     assert len(code._chunk_syndromes) == -(-code.d // 8)
     for w in range(1 << code.d):
         assert code.syndrome_bits(w) == row_loop_syndrome(code, w)
+
+
+def random_inner_24() -> InnerCode:
+    """A seeded code with parity checks [I | A], A a random 12x12 matrix:
+    its words span three 8-bit chunks."""
+    rng = random.Random(24)
+    rows = [[int(j == i) for j in range(12)] + [rng.randrange(2) for _ in range(12)]
+            for i in range(12)]
+    return InnerCode.from_parity_check(BitMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("make", [wide_inner_12_6_4, random_inner_24], ids=["d12", "d24"])
+def test_column_syndromes_sum_to_word_syndromes(make):
+    # flipping bit j of a word XORs column_syndromes[j] into its syndrome
+    code = make()
+    columns = code.column_syndromes
+    assert len(columns) == code.d
+    rng = random.Random(code.d)
+    for _ in range(400):
+        w = rng.getrandbits(code.d)
+        expected = 0
+        for j in range(code.d):
+            if w >> j & 1:
+                expected ^= columns[j]
+        assert code.syndrome_bits(w) == expected == row_loop_syndrome(code, w)
+        j = rng.randrange(code.d)
+        assert code.syndrome_bits(w ^ 1 << j) == expected ^ columns[j]
 
 
 def test_check_iff_decode_fixed_point():
