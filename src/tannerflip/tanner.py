@@ -2,15 +2,8 @@
 
 A word of length n_left belongs to the code when its restriction to every
 constraint's neighborhood (taken in ascending left-vertex order) is an inner
-codeword. A restriction is read in one of two ways: `read_restriction` packs
-one constraint's restriction for the incremental decoder, and
-`failing_constraints` checks every constraint at once in a whole-word
-syndrome pass, for `is_codeword` and `unsatisfied`; no decode makes that
-pass. It gathers the word along slot j of every constraint
-into one byte string per slot j < d, reads each as an int, XORs the slot ints
-in each inner parity-check row's support and ORs the rows, so byte u of the
-result is 1 exactly when constraint u fails (bytes hold 0/1, so nothing
-carries).
+codeword. `read_restriction` is the one reader of a restriction, for the
+decoder and for `failing_constraints`, which checks every constraint.
 The generator basis (one elimination, which also gives `dim`) and the
 brute-force oracles are computed lazily; decoding and sweeps never need
 them. The stacked global parity checks are built on each access and not
@@ -21,7 +14,6 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -51,39 +43,13 @@ class TannerCode:
             r = r + r + word[v]
         return r
 
-    @cached_property
-    def _slot_getters(self) -> tuple[itemgetter, ...]:
-        """Getter j gathers a word's values at the j-th neighbor of every
-        constraint. A one-index itemgetter returns a scalar, so a graph with
-        one constraint gathers through a one-byte slice instead."""
-        columns = zip(*self.graph.right_adj)
-        if self.graph.n_right == 1:
-            return tuple(itemgetter(slice(v, v + 1)) for (v,) in columns)
-        return tuple(itemgetter(*col) for col in columns)
-
     def failing_constraints(self, word: bytes | bytearray) -> list[int]:
         """Constraints whose restriction of a 0/1 byte word fails the inner
-        check, ascending, from one whole-word syndrome pass."""
+        check, ascending."""
         if len(word) != self.n:
             raise ValueError(f"length mismatch: expected {self.n}, got {len(word)}")
-        slots = [
-            int.from_bytes(bytes(gather(word)), "little")
-            for gather in self._slot_getters
-        ]
-        fails = 0
-        for row in self.inner.h.row_bits:
-            parity = 0
-            for j, slot in enumerate(slots):
-                if (row >> j) & 1:
-                    parity ^= slot
-            fails |= parity
-        flags = fails.to_bytes(self.graph.n_right, "little")
-        failing = []
-        u = flags.find(1)
-        while u >= 0:
-            failing.append(u)
-            u = flags.find(1, u + 1)
-        return failing
+        syndrome_bits, read = self.inner.syndrome_bits, self.read_restriction
+        return [u for u in range(self.graph.n_right) if syndrome_bits(read(word, u))]
 
     def is_codeword(self, x: BitVector) -> bool:
         return not self.failing_constraints(x.to_bytes01())

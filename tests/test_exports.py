@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -33,3 +34,21 @@ def test_import_leaves_openssl_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = "import sys, tannerflip; assert '_hashlib' not in sys.modules"
     subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+def test_imports_only_the_standard_library():
+    # the library is pure standard-library Python; relative imports are its own
+    outside = []
+    for path in sorted(Path(tannerflip.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

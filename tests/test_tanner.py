@@ -63,6 +63,12 @@ class TestMembership:
     def test_length_mismatch(self, k32_rep3):
         with pytest.raises(ValueError):
             k32_rep3.is_codeword(BitVector.from_text("0000"))
+        # unchecked, a short word would be read past its end and a long
+        # word's tail would go unread
+        with pytest.raises(ValueError):
+            k32_rep3.failing_constraints(bytes(k32_rep3.n - 1))
+        with pytest.raises(ValueError):
+            k32_rep3.failing_constraints(bytearray(k32_rep3.n + 1))
 
 
 class TestEncode:
@@ -157,7 +163,8 @@ def wide_code() -> TannerCode:
 )
 def test_whole_word_pass_matches_references(request, fixture):
     """failing_constraints against one read per constraint and against the
-    rows of global_h, on dense random and sparse words."""
+    rows of global_h, the reference built without read_restriction, on dense
+    random and sparse words."""
     code = request.getfixturevalue(fixture)
     n, m, r = code.n, code.graph.n_right, code.inner.h.rows
     rng = random.Random(5)
