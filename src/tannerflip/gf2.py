@@ -7,6 +7,7 @@ from typing import Iterable, Iterator
 
 _DIGITS_OF_BYTES = bytes.maketrans(b"\x00\x01", b"01")
 _BYTES_OF_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,40 +149,63 @@ def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(m.rows, bits)
 
 
+def _reversed(bits: int, cols: int) -> int:
+    """A packed row with its columns reversed: column j moves to bit cols-1-j
+    (the map is its own inverse)."""
+    size = (cols + 7) // 8
+    flipped = bits.to_bytes(size, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(flipped, "big") >> (8 * size - cols)
+
+
+def _eliminate(rows: Iterable[int], cols: int) -> list[int]:
+    """The nonzero rows of the reduced row-echelon form of the span of
+    `rows`, in ascending pivot column order. Rows go in and come out
+    column-reversed (column j at bit cols-1-j), so a row's pivot, its lowest
+    column, is its top bit and `bit_length()` finds it in O(1).
+
+    Each row is reduced against a basis indexed by top bit until it vanishes
+    or brings a new top bit; every XOR clears the row's top bit, so rows
+    shrink as they reduce. The basis is then back-substituted from the last
+    pivot column (the lowest top bit) up, clearing each row's bits at the
+    pivots below its own."""
+    basis = [0] * (cols + 1)
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            pivot_row = basis[top]
+            if not pivot_row:
+                basis[top] = row
+                break
+            row ^= pivot_row
+    below = 0  # the pivot bits of the rows already reduced
+    for top, row in enumerate(basis):
+        if not row:
+            continue
+        hits = row & below
+        while hits:
+            high = hits.bit_length()
+            row ^= basis[high]
+            hits ^= 1 << (high - 1)
+        basis[top] = row
+        below |= 1 << (top - 1)
+    return [row for row in reversed(basis) if row]
+
+
 def rref(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
     """Reduced row-echelon form over GF(2), with columns read left-to-right
     (bit 0 first). Returns (reduced matrix, rank, pivot columns).
 
-    Each row is reduced against a basis keyed by lowest set bit until it
-    vanishes or brings a new lowest bit; the basis rows, sorted by pivot, are
-    then back-substituted from the last pivot down. The reduced form of a row
-    space is unique, so the output does not depend on the row order: the rank
-    nonzero rows in pivot order, then the zero rows.
+    The rows are eliminated column-reversed (see `_eliminate`) and mapped
+    back. The reduced form of a row space is unique, so the output does not
+    depend on the row order: the rank nonzero rows in pivot order, then the
+    zero rows.
     """
-    basis: dict[int, int] = {}
-    for row in m.row_bits:
-        while row:
-            low = row & -row
-            pivot_row = basis.get(low)
-            if pivot_row is None:
-                basis[low] = row
-                break
-            row ^= pivot_row
-    lows = sorted(basis)
-    reduced: dict[int, int] = {}
-    above = 0  # the pivots already reduced
-    for low in reversed(lows):
-        row = basis[low]
-        hits = row & above
-        while hits:
-            high = hits & -hits
-            row ^= reduced[high]
-            hits ^= high
-        reduced[low] = row
-        above |= low
-    rank = len(lows)
-    rows = tuple(reduced[low] for low in lows) + (0,) * (m.rows - rank)
-    return BitMatrix(m.rows, m.cols, rows), rank, [low.bit_length() - 1 for low in lows]
+    cols = m.cols
+    reduced = _eliminate((_reversed(row, cols) for row in m.row_bits), cols)
+    rank = len(reduced)
+    rows = tuple(_reversed(row, cols) for row in reduced) + (0,) * (m.rows - rank)
+    pivots = [cols - row.bit_length() for row in reduced]
+    return BitMatrix(m.rows, cols, rows), rank, pivots
 
 
 def gray_span(n: int, generators: tuple[int, ...]) -> Iterator[BitVector]:
@@ -195,18 +219,33 @@ def gray_span(n: int, generators: tuple[int, ...]) -> Iterator[BitVector]:
 
 
 def nullspace_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of the right kernel of m; one vector per free column."""
-    reduced, rank, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        bits = 1 << fc
-        for r, pc in enumerate(pivots):
-            if (reduced.row_bits[r] >> fc) & 1:
-                bits |= 1 << pc
-        basis.append(BitVector(m.cols, bits))
-    return basis
+    """Basis of the right kernel of m; one vector per free column, ascending."""
+    cols = m.cols
+    return _kernel((_reversed(row, cols) for row in m.row_bits), cols)
+
+
+def _kernel(rows: Iterable[int], cols: int) -> list[BitVector]:
+    """`nullspace_basis` of column-reversed rows. The vector of free column f
+    holds f and the pivot column of every reduced row with a bit at f, so one
+    walk over each reduced row's free-column bits builds them all."""
+    kernel: dict[int, int] = {}  # free column -> its vector, once a row hits it
+    pivots = set()
+    for row in _eliminate(rows, cols):
+        top = row.bit_length() - 1
+        pivot = cols - 1 - top
+        pivots.add(pivot)
+        pivot_bit = 1 << pivot
+        row ^= 1 << top
+        while row:
+            top = row.bit_length() - 1
+            free = cols - 1 - top
+            kernel[free] = kernel.get(free, 1 << free) | pivot_bit
+            row ^= 1 << top
+    return [
+        BitVector(cols, kernel.get(free, 1 << free))
+        for free in range(cols)
+        if free not in pivots
+    ]
 
 
 __all__ = [

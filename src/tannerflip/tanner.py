@@ -6,8 +6,10 @@ codeword. `read_restriction` is the one reader of a restriction, for the
 decoder and for `failing_constraints`, which checks every constraint.
 The generator basis (one elimination, which also gives `dim`) and the
 brute-force oracles are computed lazily; decoding and sweeps never need
-them. The stacked global parity checks are built on each access and not
-kept, since the elimination is their only user in the library.
+them. The elimination takes the stacked global parity checks one at a time,
+built column-reversed from the graph and the inner code, so they are never
+held at once; `global_h` builds the same rows as a matrix for tests and
+callers that want it, on each access.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
-from .gf2 import BitMatrix, BitVector, gray_span, nullspace_basis
+from .gf2 import BitMatrix, BitVector, _kernel, _reversed, gray_span
 from .graphs import BipartiteGraph
 from .inner import InnerCode
 
@@ -58,27 +60,34 @@ class TannerCode:
         """Constraints whose restriction fails the inner check."""
         return set(self.failing_constraints(x.to_bytes01()))
 
+    def _reversed_checks(self) -> Iterator[int]:
+        """The stacked parity checks, built one at a time and column-reversed
+        (coordinate v at bit n-1-v), as the elimination takes them: each
+        inner row mapped through each constraint's neighborhood in turn."""
+        last = self.n - 1
+        positions = [
+            [j for j in range(self.inner.d) if (hrow >> j) & 1]
+            for hrow in self.inner.h.row_bits
+        ]
+        for coords in self.graph.right_adj:
+            for row in positions:
+                mask = 0
+                for j in row:
+                    mask |= 1 << (last - coords[j])
+                yield mask
+
     @property
     def global_h(self) -> BitMatrix:
-        """Stacked parity checks: each inner row mapped through a neighborhood.
-        Built on each access and not kept: `generator` is its only user in
-        the library, and the n-bit rows are not needed after its elimination."""
-        rows = []
-        for u in range(self.graph.n_right):
-            coords = self.graph.right_adj[u]
-            for hrow in self.inner.h.row_bits:
-                mask = 0
-                bits = hrow
-                while bits:
-                    low = bits & -bits
-                    mask |= 1 << coords[low.bit_length() - 1]
-                    bits ^= low
-                rows.append(mask)
-        return BitMatrix(len(rows), self.n, tuple(rows))
+        """Stacked parity checks, coordinate v at bit v. Built on each access
+        and not kept; `generator` eliminates the same rows without it."""
+        rows = tuple(_reversed(row, self.n) for row in self._reversed_checks())
+        return BitMatrix(len(rows), self.n, rows)
 
     @cached_property
     def generator(self) -> tuple[BitVector, ...]:
-        return tuple(nullspace_basis(self.global_h))
+        """The kernel basis of the stacked checks, as `nullspace_basis`
+        gives it, each check handed to the elimination as it is built."""
+        return tuple(_kernel(self._reversed_checks(), self.n))
 
     @property
     def dim(self) -> int:

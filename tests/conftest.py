@@ -53,6 +53,43 @@ def wide_inner_12_6_4() -> tf.InnerCode:
     )
 
 
+def column_scan_rref(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
+    """The reference elimination: pivots found scanning columns left to right
+    and rows top-down, each pivot row cleared from every other row."""
+    work = list(m.row_bits)
+    pivots: list[int] = []
+    rank = 0
+    for col in range(m.cols):
+        pivot = next((r for r in range(rank, len(work)) if (work[r] >> col) & 1), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(len(work)):
+            if r != rank and (work[r] >> col) & 1:
+                work[r] ^= work[rank]
+        pivots.append(col)
+        rank += 1
+        if rank == len(work):
+            break
+    return BitMatrix(m.rows, m.cols, tuple(work)), rank, pivots
+
+
+def column_scan_kernel(m: BitMatrix) -> list[BitVector]:
+    """The reference kernel basis, read off `column_scan_rref`: for each free
+    column, ascending, that column plus the pivot of every row that holds it."""
+    reduced, _, pivots = column_scan_rref(m)
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        bits = 1 << free
+        for row, pivot in zip(reduced.row_bits, pivots):
+            if (row >> free) & 1:
+                bits |= 1 << pivot
+        basis.append(BitVector(m.cols, bits))
+    return basis
+
+
 def reference_votes(code: tf.TannerCode, params, x: BitVector):
     """Recompute the voting state from definitions via decode_bounded."""
     unsat = code.unsatisfied(x)

@@ -9,6 +9,8 @@ from hypothesis import example, given, strategies as st
 from tannerflip.decode_det import DecodeReport
 from tannerflip.gf2 import BitMatrix, BitVector, add, mat_vec_mul, nullspace_basis, rref
 
+from conftest import column_scan_kernel, column_scan_rref
+
 
 def vec(text: str) -> BitVector:
     return BitVector.from_text(text)
@@ -65,48 +67,62 @@ class TestRref:
         assert rank == 2
 
 
-def column_scan_rref(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
-    """The reference elimination: pivots found scanning columns left to right
-    and rows top-down, each pivot row cleared from every other row."""
-    work = list(m.row_bits)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(m.cols):
-        pivot = next((r for r in range(rank, len(work)) if (work[r] >> col) & 1), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and (work[r] >> col) & 1:
-                work[r] ^= work[rank]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return BitMatrix(m.rows, m.cols, tuple(work)), rank, pivots
+def span_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
+    """Rows drawn from the span of a few random rows: often rank-deficient."""
+    span = [rng.getrandbits(cols) for _ in range(rng.randint(1, rows))]
+    bits = []
+    for _ in range(rows):
+        word = 0
+        for row in span:
+            if rng.getrandbits(1):
+                word ^= row
+        bits.append(word)
+    return BitMatrix(rows, cols, tuple(bits))
+
+
+# wider than one 30-bit int digit, on both sides of the digit boundaries
+WIDE_COLS = (*range(29, 34), *range(60, 67), 200)
+
+
+def wide_matrices() -> list[BitMatrix]:
+    """For each wide column count: all-zero rows, a random matrix with zero
+    rows mixed in, and rank-deficient spans short, square and tall."""
+    rng = random.Random(29)
+    out = []
+    for cols in WIDE_COLS:
+        out.append(BitMatrix(3, cols, (0, 0, 0)))
+        mixed = (0, rng.getrandbits(cols), 0, rng.getrandbits(cols), 0, 1 << (cols - 1))
+        out.append(BitMatrix(6, cols, mixed))
+        for rows in (1, 2, cols // 2, cols + 3):
+            out.append(span_matrix(rng, rows, cols))
+    return out
 
 
 def test_rref_matches_column_scan_reference(dim3_code):
     rng = random.Random(2024)
     deficient = 0
     for _ in range(2000):
-        rows, cols = rng.randint(1, 12), rng.randint(1, 16)
-        # rows drawn from the span of a few random rows: often rank-deficient
-        span = [rng.getrandbits(cols) for _ in range(rng.randint(1, rows))]
-        bits = []
-        for _ in range(rows):
-            word = 0
-            for row in span:
-                if rng.getrandbits(1):
-                    word ^= row
-            bits.append(word)
-        m = BitMatrix(rows, cols, tuple(bits))
+        m = span_matrix(rng, rng.randint(1, 12), rng.randint(1, 16))
         expected = column_scan_rref(m)
         assert rref(m) == expected, m
-        deficient += expected[1] < min(rows, cols)
+        deficient += expected[1] < min(m.rows, m.cols)
     assert deficient >= 1000
+    wide_deficient = 0
+    for m in wide_matrices():
+        expected = column_scan_rref(m)
+        assert rref(m) == expected, m
+        wide_deficient += expected[1] < min(m.rows, m.cols)
+    assert wide_deficient >= 2 * len(WIDE_COLS)
     code, _ = dim3_code
     assert rref(code.global_h) == column_scan_rref(code.global_h)
+
+
+def test_nullspace_matches_column_scan_kernel(dim3_code):
+    rng = random.Random(2025)
+    cases = [span_matrix(rng, rng.randint(1, 12), rng.randint(1, 16)) for _ in range(500)]
+    cases += wide_matrices() + [dim3_code[0].global_h]
+    for m in cases:
+        assert nullspace_basis(m) == column_scan_kernel(m), m
 
 
 class TestNullspace:

@@ -10,7 +10,12 @@ from tannerflip.graphs import BipartiteGraph, gen_random_biregular
 from tannerflip.inner import parity_check_code, repetition_code
 from tannerflip.tanner import TannerCode, corrupt, load_bundle, write_bundle
 
-from conftest import ext_hamming_inner, wide_inner_12_6_4
+from conftest import (
+    column_scan_kernel,
+    column_scan_rref,
+    ext_hamming_inner,
+    wide_inner_12_6_4,
+)
 
 
 def blocks_graph(blocks: int, d: int) -> BipartiteGraph:
@@ -161,10 +166,9 @@ def wide_code() -> TannerCode:
 @pytest.mark.parametrize(
     "fixture", ["k32_rep3", "big_code", "blocks_4_8", "one_constraint", "wide_code"]
 )
-def test_whole_word_pass_matches_references(request, fixture):
-    """failing_constraints against one read per constraint and against the
-    rows of global_h, the reference built without read_restriction, on dense
-    random and sparse words."""
+def test_failing_constraints_matches_global_h(request, fixture):
+    """failing_constraints against the rows of global_h, the reference built
+    without read_restriction, on dense random and sparse words."""
     code = request.getfixturevalue(fixture)
     n, m, r = code.n, code.graph.n_right, code.inner.h.rows
     rng = random.Random(5)
@@ -175,27 +179,48 @@ def test_whole_word_pass_matches_references(request, fixture):
         for v in rng.sample(range(n), min(weight, n)):
             word[v] = 1
         words.append(word)
+    global_h = code.global_h
     for word in words:
-        per_constraint = [
-            u for u in range(m)
-            if code.inner.syndrome_bits(code.read_restriction(word, u))
-        ]
-        syndrome = mat_vec_mul(code.global_h, BitVector.from_bytes01(word)).bits
+        syndrome = mat_vec_mul(global_h, BitVector.from_bytes01(word)).bits
         via_global_h = [u for u in range(m) if (syndrome >> (u * r)) & ((1 << r) - 1)]
-        assert code.failing_constraints(word) == per_constraint == via_global_h
+        assert code.failing_constraints(word) == via_global_h
 
 
 @pytest.mark.parametrize(
     "fixture", ["k32_rep3", "k32_code", "small_expander_code", "dim_zero_code"]
 )
 def test_dim_matches_rank(request, fixture):
-    from tannerflip.gf2 import rref
-
     code = request.getfixturevalue(fixture)
     if isinstance(code, tuple):  # small_expander_code also carries params
         code = code[0]
-    _, rank, _ = rref(code.global_h)
+    _, rank, _ = column_scan_rref(code.global_h)
     assert code.dim == len(code.generator) == code.n - rank
+
+
+@pytest.fixture(scope="module")
+def parity_2_8() -> TannerCode:
+    """(2,8) graph at n=64 with the [8,7,2] parity-check inner code: 49
+    generators, so most reduced rows hold free columns."""
+    return TannerCode(gen_random_biregular(2, 8, 64, seed=4), parity_check_code(8))
+
+
+@pytest.mark.parametrize(
+    "fixture", ["k32_rep3", "wide_code", "dim_zero_code", "parity_2_8"]
+)
+def test_generator_matches_column_scan_kernel(request, fixture):
+    code = request.getfixturevalue(fixture)
+    assert code.generator == tuple(column_scan_kernel(code.global_h))
+
+
+def test_generator_never_reads_global_h(monkeypatch, parity_2_8):
+    def refuse(self):
+        raise AssertionError("generator built the stacked checks")
+
+    expected = column_scan_kernel(parity_2_8.global_h)
+    monkeypatch.setattr(TannerCode, "global_h", property(refuse))
+    code = TannerCode(parity_2_8.graph, parity_2_8.inner)
+    assert code.generator == tuple(expected)
+    assert code.dim == 49
 
 
 def test_nonzero_codeword_weights_bounded_below(k32_rep3):
