@@ -118,6 +118,16 @@ def reference_syndromes(code: tf.TannerCode, word) -> list[int]:
     return [syndrome_bits(read(word, u)) for u in range(code.graph.n_right)]
 
 
+def reference_bounds(params, steps: int | None = None) -> list[float]:
+    """The pruning bounds b_0 = c*gamma*n, b_(k+1) = b_k * (1.0 - eps3) for
+    k = 0..steps (default s0), by the recurrence the search prunes on; the
+    reference for DecoderParams.prune_bounds' reach table."""
+    bounds = [params.c * params.gamma * params.n]
+    for _ in range(params.s0 if steps is None else steps):
+        bounds.append(bounds[-1] * (1.0 - params.eps3))
+    return bounds
+
+
 def assert_state_consistent(state: tf.DecodeState, code, params):
     assert state._syn == reference_syndromes(code, state.x)
     unsat, targets, votes = reference_votes(code, params, state.x_vector())

@@ -4,10 +4,13 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 import random
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tannerflip as tf
 from tannerflip.gf2 import BitVector
@@ -18,6 +21,7 @@ from tannerflip.tanner import TannerCode, corrupt
 from conftest import (
     assert_state_consistent,
     ext_hamming_inner,
+    reference_bounds,
     reference_syndromes,
     scan_small_code,
     wide_small_code,
@@ -85,6 +89,48 @@ class TestDeriveParams:
         args[field] = size
         with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
             tf.derive_params(**args)
+
+
+def assert_reach_exact(params: tf.DecoderParams) -> None:
+    """For every integer count u up to just past c*gamma*n, the reach table
+    gives the largest k <= s0 with u <= b_k (-1 for none), as a bisect over
+    the reference floats does."""
+    table = params.prune_bounds
+    descending = [-b for b in reference_bounds(params)]
+    for u in range(math.floor(params.c * params.gamma * params.n) + 3):
+        expected = bisect_right(descending, -u) - 1
+        assert (table[u] if u < len(table) else -1) == expected, u
+
+
+class TestReachTable:
+    @pytest.mark.parametrize("n", [800, 2000, 32000])
+    def test_bench_params(self, n):
+        assert_reach_exact(tf.derive_params(12, 8, 0.02, 0.8, 4, n))
+
+    def test_recurrence_not_pow(self, k32_params):
+        # b_3 is exactly 2.0 by the recurrence and just below it by pow
+        params = dataclasses.replace(
+            k32_params, s0=3, eps3=0.3, gamma=0.9718172983479106
+        )
+        assert_reach_exact(params)
+        assert params.prune_bounds[2] == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(0.001, 4.0),
+        eps3=st.floats(1e-6, 0.99),
+        s0=st.integers(0, 60),
+        c=st.integers(1, 12),
+        n=st.integers(1, 40),
+    )
+    def test_small_schedules(self, gamma, eps3, s0, c, n):
+        base = tf.derive_params(c=12, d=8, alpha=0.02, delta=0.8, d0=4, n=2000)
+        params = dataclasses.replace(base, c=c, n=n, gamma=gamma, eps3=eps3, s0=s0)
+        assert_reach_exact(params)
+
+    def test_params_pickle_small(self, big_params):
+        assert len(big_params.prune_bounds) == 42
+        assert len(pickle.dumps(big_params)) < 10_000
 
 
 def reference_setup(code: TannerCode, params, x: BitVector) -> tf.DecodeState:
@@ -218,19 +264,16 @@ def deep_flip(state: tf.DecodeState, seq) -> bool:
     """Apply easy_flip per entry of seq with a shrink check after each step;
     the step of the scan oracle that hard_search is checked against.
 
-    Returns False (pruned) as soon as the unsatisfied count exceeds
-    params.prune_bounds[k] after step k, True if the whole sequence ran; this
-    is the pruning hard_search applies, on the same floats. Steps beyond s0
-    continue the bounds' recurrence. The state keeps the branch-end word
-    either way; callers can rewind via restore_baseline().
+    Returns False (pruned) as soon as the unsatisfied count exceeds the
+    reference bound b_k after step k, True if the whole sequence ran; this
+    is the pruning hard_search applies through its reach table. Steps beyond
+    s0 continue the recurrence. The state keeps the branch-end word either
+    way; callers can rewind via restore_baseline().
     """
-    params = state.params
-    bounds = params.prune_bounds
-    bound = bounds[0]
+    bounds = reference_bounds(state.params, len(seq))
     for k, m in enumerate(seq, 1):
         tf.easy_flip(state, m)
-        bound = bounds[k] if k <= params.s0 else bound * (1.0 - params.eps3)
-        if state.unsat_count > bound:
+        if state.unsat_count > bounds[k]:
             return False
     return True
 
@@ -252,12 +295,12 @@ class TestDeepFlip:
         assert st.x_vector().to_text() == "111"
 
     def test_prunes_on_the_walks_bounds(self, k32_code, k32_params):
-        # prune_bounds[3] is exactly 2.0 here, while (1-eps3)^3 * c*gamma*n
-        # rounds to just below it: deep_flip must use the former
+        # the recurrence's b_3 is exactly 2.0 here, while (1-eps3)^3 *
+        # c*gamma*n rounds to just below it: deep_flip must use the former
         params = dataclasses.replace(
             k32_params, s0=3, eps3=0.3, gamma=0.9718172983479106
         )
-        assert params.prune_bounds[3] == 2.0
+        assert reference_bounds(params)[3] == 2.0
         st = tf.DecodeState(k32_code, params, BitVector.from_text("100"))
         assert st.unsat_count == 2 and not st.buckets[1]
         assert deep_flip(st, [1, 1, 1]) is True
@@ -374,6 +417,20 @@ class TestScanEquivalence:
             assert walk_commit(code, params, x) == expected, x.to_text()
             outcomes[expected is None] += 1
         assert outcomes[True] and outcomes[False]  # both accept and exhaust occur
+
+    def test_frozen_nodes_meet_the_final_bound(self):
+        # on the (3,12) code a flip often leaves no senders with |U| still
+        # high; such a node below s0 may accept only if its count meets
+        # b_s0 as well as eps4 * |U| (here b_3 = 4.94 and eps4 = 0.9)
+        code, base = wide_small_code()
+        params = dataclasses.replace(base, s0=3, eps3=0.3, gamma=0.1, eps4=0.9)
+        rng = random.Random("frozen")
+        for _ in range(60):
+            if rng.random() < 0.3:
+                x = BitVector(code.n, rng.getrandbits(code.n))
+            else:
+                x = corrupt(BitVector.zeros(code.n), rng.randint(0, 12), rng.randrange(1 << 30))
+            assert walk_commit(code, params, x) == scan_commit(code, params, x), x.to_text()
 
     @pytest.mark.parametrize("overrides", [{"s0": 3}, {"s0": 3, "eps3": 0.1}])
     def test_big_code(self, big_code, big_params, overrides):

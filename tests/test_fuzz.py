@@ -194,9 +194,12 @@ def _manifest(draw) -> str:
 @example("tanner v1 sub c.innercode\n")
 @example("tanner v1 latin1.bin c.innercode\n")
 @example("tanner v1 g.bigraph\x00 c.innercode\n")
+@example("\ud800 g.bigraph c.innercode")
 def test_manifest_parser_on_arbitrary_text(bundle_dir, text):
+    # a lone surrogate has no UTF-8 encoding: written as its surrogatepass
+    # bytes, it reaches the parser as invalid UTF-8
     manifest = bundle_dir / "m.tanner"
-    manifest.write_text(text)
+    manifest.write_bytes(text.encode("utf-8", "surrogatepass"))
     try:
         code = tf.load_bundle(manifest)
     except (ValueError, OSError):
