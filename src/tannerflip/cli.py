@@ -364,10 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "code", "x") is None and (
-        getattr(args, "graph", None) is None or getattr(args, "inner", None) is None
-    ):
-        parser.error("provide --code or both --graph and --inner")
+    if "code" in vars(args):  # a command that reads a code, from one source
+        files = (args.graph is not None, args.inner is not None)
+        if files != ((False, False) if args.code is not None else (True, True)):
+            parser.error("provide --code or both --graph and --inner")
     try:
         return args.func(args)
     except UsageError as exc:

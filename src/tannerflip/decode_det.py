@@ -209,8 +209,8 @@ class DecodeState:
     set of failing constraints for the current word, `targets[u]` is the
     vote sent by constraint u (-1 for none), `votes[v]` counts the votes on
     variable v, and `buckets[m]` holds the variables with exactly m votes.
-    `flip_record` holds the coordinates where the word differs from the last
-    committed baseline, so the baseline is recoverable by re-flipping it.
+    A flip is undone by flipping the same variables again, which is how the
+    search backs out of a branch.
 
     Flipping v XORs the syndrome of the unit vector at v's slot in u's
     neighborhood into `_syn[u]`, for each constraint u next to v; then
@@ -234,12 +234,13 @@ class DecodeState:
     def __init__(self, code: TannerCode, params: DecoderParams, x: BitVector) -> None:
         if x.n != code.n:
             raise ValueError(f"length mismatch: expected {code.n}, got {x.n}")
-        if params.n != code.n:
-            raise ValueError("params were derived for a different block length")
+        graph = code.graph
+        shape = (graph.c, graph.d, code.inner.d0, code.n)
+        if (params.c, params.d, params.d0, params.n) != shape:
+            raise ValueError(f"params were derived for another code than (c, d, d0, n) = {shape}")
         self.code = code
         self.params = params
         self.t = params.t
-        graph = code.graph
         self._left_adj = graph.left_adj
         self._right_adj = graph.right_adj
         self._column_syndromes = code.inner.column_syndromes
@@ -252,8 +253,6 @@ class DecodeState:
         self.targets = [-1] * graph.n_right
         self.votes = [0] * graph.n_left
         self.buckets: list[set[int]] = [set() for _ in range(graph.c + 1)]
-        self.senders = 0
-        self.flip_record: set[int] = set()
         self.ops = OpCounters()
         self._refresh(sorted(self._flip_syndromes(_ones(self._received))))
         self._received_failing = frozenset(self.unsat)
@@ -318,7 +317,6 @@ class DecodeState:
         syn, table, t = self._syn, self._syndrome_table, self.t
         right_adj, targets = self._right_adj, self.targets
         votes, buckets, unsat = self.votes, self.buckets, self.unsat
-        senders = self.senders
         for u in us:
             leader = table.get(syn[u])
             new = -1
@@ -338,7 +336,6 @@ class DecodeState:
                     votes[old] = m
                     if m:
                         buckets[m].add(old)
-                    senders -= 1
                 if new >= 0:
                     m = votes[new]
                     if m:
@@ -346,39 +343,19 @@ class DecodeState:
                     m += 1
                     votes[new] = m
                     buckets[m].add(new)
-                    senders += 1
                 targets[u] = new
-        self.senders = senders
-
-    def _examine(self, u: int) -> int | None:
-        """Refresh constraint u alone; returns the coset leader of its
-        restriction (None beyond the inner radius)."""
-        self._refresh((u,))
-        return self._syndrome_table.get(self._syn[u])
 
     def apply_flips(self, vs) -> list[int]:
         """Flip the given variables and refresh the adjacent constraints."""
         flipped = sorted(vs)
         if not flipped:
             return flipped
-        x, rec = self.x, self.flip_record
+        x = self.x
         for v in flipped:
             x[v] ^= 1
-            if v in rec:
-                rec.discard(v)
-            else:
-                rec.add(v)
         self.ops.flips += len(flipped)
         self._refresh(sorted(self._flip_syndromes(flipped)))
         return flipped
-
-    def restore_baseline(self) -> None:
-        """Rewind the word to the committed baseline recorded in flip_record."""
-        self.apply_flips(sorted(self.flip_record))
-
-    def commit(self) -> None:
-        """Adopt the current word as the new baseline."""
-        self.flip_record.clear()
 
 
 def easy_flip(state: DecodeState, m: int) -> list[int]:
@@ -418,7 +395,7 @@ def hard_search(state: DecodeState) -> None:
     one of them passes. Its `children` flips one bucket at a time, caches
     the largest k at which the result passes, yields the child's depth when
     the flip passes, and undoes the flip when the walk resumes it; it has no
-    try/finally, which would undo a committed sequence as the suspended
+    try/finally, which would undo the accepted sequence as the suspended
     generators are dropped. The main loop keeps a stack of these generators,
     so no recursion is involved.
 
@@ -426,7 +403,7 @@ def hard_search(state: DecodeState) -> None:
     not one step per level of [c]^s0; the generators add no flip or node
     that these shortcuts do not call for. `ops.nodes` counts the levels the
     walk stands on to try digits, plus each leaf decided. Raises
-    NoAcceptableBranch (state rewound) when the scan exhausts.
+    NoAcceptableBranch when the scan exhausts, every flip undone.
     """
     params = state.params
     s0 = params.s0
@@ -457,7 +434,7 @@ def hard_search(state: DecodeState) -> None:
                     known[m] = k = reach(state.unsat_count)
                     if k > level:
                         # no try/finally: once a leaf accepts, the dropped
-                        # generators must not undo the commit
+                        # generators must not undo the accepted sequence
                         yield level + 1
                     state.apply_flips(flipped)
 
@@ -482,17 +459,16 @@ def hard_search(state: DecodeState) -> None:
     stack = []
 
     def enter(depth: int) -> bool:
-        """Decide the leaf at `depth`, True if it accepted and was committed,
-        or push the chain of the node there."""
+        """Push the chain of the node at `depth` if a vote is pending there;
+        otherwise decide it as a leaf, True if it accepted."""
         ops.nodes += 1
-        if depth < s0 and state.senders:
+        if depth < s0 and any(buckets):
             stack.append(chain(depth))
             return False
         # a frozen node's word must also meet every bound down to s0
         unsat = state.unsat_count
         if unsat > accept_limit or reach(unsat) != s0:
             return False
-        state.commit()
         return True
 
     if enter(0):
@@ -583,12 +559,13 @@ def main_decode(
 
 
 def _final_inner_pass(state: DecodeState) -> None:
-    """Rewrite each still-unsatisfied restriction with its decoded codeword.
-    Re-examining u leaves the up-to-date state as it is and yields its leader."""
+    """Rewrite each still-unsatisfied restriction with its decoded codeword,
+    refreshing u first: one check and one inner decode, no state change."""
     for u in sorted(state.unsat):
         if u not in state.unsat:
             continue
-        leader = state._examine(u)
+        state._refresh((u,))
+        leader = state._syndrome_table.get(state._syn[u])
         if not leader:
             continue
         coords = state._right_adj[u]

@@ -7,8 +7,8 @@ a variable with m votes is kept with probability m/(2c). Draws are keyed by
 (seed, iteration, vertex) through a counter-based hash, so results are
 order-independent and bitwise reproducible.
 
-The word is set up once: one DecodeState runs the iterations and is handed,
-committed, to `main_decode`, so the report's counters cover both phases.
+The word is set up once: one DecodeState runs the iterations and is handed
+to `main_decode`, so the report's counters cover both phases.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ def randomized_decode(
         report.unsat_trajectory.append(state.unsat_count)
         if state.unsat_count <= handoff:
             report.handed_off = True
-            state.commit()
             return main_decode(code, params, state, report=report.main)
     raise RandomizedAbort(f"no hand-off within {config.max_iters} iterations")
 

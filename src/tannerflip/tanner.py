@@ -56,10 +56,6 @@ class TannerCode:
     def is_codeword(self, x: BitVector) -> bool:
         return not self.failing_constraints(x.to_bytes01())
 
-    def unsatisfied(self, x: BitVector) -> set[int]:
-        """Constraints whose restriction fails the inner check."""
-        return set(self.failing_constraints(x.to_bytes01()))
-
     def _reversed_checks(self) -> Iterator[int]:
         """The stacked parity checks, built one at a time and column-reversed
         (coordinate v at bit n-1-v), as the elimination takes them: each

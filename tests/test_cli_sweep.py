@@ -380,6 +380,18 @@ class TestCli:
             main(["mindist"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "files", [["--graph", "other.bigraph"], ["--inner", "rep3.innercode"],
+                  ["--graph", "other.bigraph", "--inner", "rep3.innercode"]]
+    )
+    def test_code_with_graph_or_inner_usage(self, k32_bundle, capsys, files):
+        # a manifest plus separate files names two codes: neither is picked
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--code", str(k32_bundle), *files, "--word", "100",
+                  "--alpha", "0.3333", "--delta", "1"])
+        assert exc.value.code == 2
+        assert "provide --code or both --graph and --inner" in capsys.readouterr().err
+
 
 def test_word_file_input(tmp_path, k32_bundle, capsys):
     wf = tmp_path / "word.txt"

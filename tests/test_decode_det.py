@@ -134,7 +134,7 @@ class TestReachTable:
 
 
 def reference_setup(code: TannerCode, params, x: BitVector) -> tf.DecodeState:
-    """The set-up as one _examine per constraint, ascending, after reading
+    """The set-up as one refresh per constraint, ascending, after reading
     every constraint's syndrome from the word. It starts from a state over
     the zero word, a codeword whose bookkeeping is the initial one."""
     st = tf.DecodeState(code, params, BitVector.zeros(code.n))
@@ -142,7 +142,7 @@ def reference_setup(code: TannerCode, params, x: BitVector) -> tf.DecodeState:
     st._syn[:] = reference_syndromes(code, st.x)
     st.ops = tf.OpCounters()
     for u in range(code.graph.n_right):
-        st._examine(u)
+        st._refresh((u,))
     return st
 
 
@@ -198,7 +198,6 @@ class TestDecodeState:
             assert st.targets == ref.targets
             assert st.votes == ref.votes
             assert st.buckets == ref.buckets
-            assert st.senders == ref.senders
             assert st.ops == ref.ops
 
     def test_setup_keeps_a_failing_constraint_beyond_the_radius(
@@ -219,6 +218,18 @@ class TestDecodeState:
         p = tf.derive_params(c=2, d=3, alpha=1 / 3, delta=1.0, d0=3, n=6)
         with pytest.raises(ValueError):
             tf.DecodeState(k32_code, p, BitVector.zeros(3))
+
+    @pytest.mark.parametrize(
+        "c, d, d0", [(12, 8, 6), (11, 8, 4), (12, 9, 4), (12, 8, 5)]
+    )
+    def test_params_for_another_code(self, big_code, c, d, d0):
+        # same n, so only (c, d, d0) tells the schedule is not this code's
+        p = tf.derive_params(c=c, d=d, alpha=0.02, delta=0.8, d0=d0, n=2000)
+        x = corrupt(BitVector.zeros(big_code.n), 3, seed=1)
+        with pytest.raises(ValueError, match="params were derived for"):
+            tf.DecodeState(big_code, p, x)
+        with pytest.raises(ValueError, match="params were derived for"):
+            tf.main_decode(big_code, p, x)
 
 
 class TestEasyFlip:
@@ -268,7 +279,7 @@ def deep_flip(state: tf.DecodeState, seq) -> bool:
     reference bound b_k after step k, True if the whole sequence ran; this
     is the pruning hard_search applies through its reach table. Steps beyond
     s0 continue the recurrence. The state keeps the branch-end word either
-    way; callers can rewind via restore_baseline().
+    way; callers rewind by flipping back where it differs from the input.
     """
     bounds = reference_bounds(state.params, len(seq))
     for k, m in enumerate(seq, 1):
@@ -315,12 +326,8 @@ class TestDeepFlip:
             st = tf.DecodeState(big_code, big_params, x)
             seq = [rng.randint(1, big_code.graph.c) for _ in range(5)]
             deep_flip(st, seq)
-            # the flip record plus the current word recovers the input
-            recorded = BitVector.from_indices(big_code.n, st.flip_record)
-            assert (st.x_vector() ^ recorded) == x
-            st.restore_baseline()
+            st.apply_flips((st.x_vector() ^ x).indices())
             assert st.x_vector() == x
-            assert not st.flip_record
             assert_state_consistent(st, big_code, big_params)
 
 
@@ -329,7 +336,6 @@ class TestHardSearch:
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("100"))
         tf.hard_search(st)
         assert st.x_vector().to_text() == "000"
-        assert not st.flip_record  # committed
 
     def test_codeword_accepts_immediately(self, k32_code, k32_params):
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("111"))
@@ -356,14 +362,23 @@ class TestHardSearch:
             residual = (st.x_vector() ^ truth).weight()
             assert residual <= (1 - big_params.eps3) * radius
 
-    def test_exhaustion_raises_and_restores(self):
+    def test_exhaustion_raises_and_restores(self, big_code, big_params):
         code = TannerCode(blocks_graph(1, 8), ext_hamming_inner())
         params = tf.derive_params(c=1, d=8, alpha=0.5, delta=1.0, d0=4, n=8)
-        x = BitVector.from_text("11000000")  # two errors: beyond the inner radius
-        st = tf.DecodeState(code, params, x)
-        with pytest.raises(tf.NoAcceptableBranch):
-            tf.hard_search(st)
-        assert st.x_vector() == x
+        # (code, params, input, whether the walk flips before it exhausts):
+        # two errors are beyond the inner radius, so no vote is sent; 20
+        # errors are far beyond the radius, so the walk flips buckets and
+        # must undo every one of them itself
+        cases = [(code, params, BitVector.from_text("11000000"), False)]
+        zero = BitVector.zeros(big_code.n)
+        cases += [(big_code, big_params, corrupt(zero, 20, seed), True) for seed in range(5)]
+        for code, params, x, walks in cases:
+            st = tf.DecodeState(code, params, x)
+            with pytest.raises(tf.NoAcceptableBranch):
+                tf.hard_search(st)
+            assert bool(st.ops.flips) == walks
+            assert st.x_vector() == x
+            assert_state_consistent(st, code, params)
 
 
 def scan_commit(code, params, x: BitVector) -> BitVector | None:
@@ -375,7 +390,7 @@ def scan_commit(code, params, x: BitVector) -> BitVector | None:
     for seq in itertools.product(range(1, code.graph.c + 1), repeat=params.s0):
         if deep_flip(state, seq) and state.unsat_count <= limit:
             return state.x_vector()
-        state.restore_baseline()
+        state.apply_flips((state.x_vector() ^ x).indices())
     return None
 
 
@@ -386,7 +401,6 @@ def walk_commit(code, params, x: BitVector) -> BitVector | None:
     except tf.NoAcceptableBranch:
         assert state.x_vector() == x
         return None
-    assert not state.flip_record
     return state.x_vector()
 
 

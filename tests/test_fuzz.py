@@ -68,24 +68,17 @@ def test_decoders_on_arbitrary_words(small_codes, name, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_flips_keep_the_state_current(small_codes, name, data):
-    # each step flips an arbitrary set or a vote bucket, rewinds to the
-    # baseline or commits; the syndromes and votes must match the word after
-    # each
+    # each step flips an arbitrary set or a vote bucket; the syndromes and
+    # votes must match the word after each
     code, params = small_codes[name]
     n, c = code.n, code.graph.c
     state = tf.DecodeState(code, params, _word(data, n))
     steps = st.one_of(
         st.sets(st.integers(0, n - 1), max_size=6),
         st.integers(1, c),
-        st.just("restore"),
-        st.just("commit"),
     )
     for step in data.draw(st.lists(steps, max_size=8)):
-        if step == "restore":
-            state.restore_baseline()
-        elif step == "commit":
-            state.commit()
-        elif isinstance(step, int):
+        if isinstance(step, int):
             tf.easy_flip(state, step)
         else:
             state.apply_flips(step)

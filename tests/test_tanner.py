@@ -56,14 +56,14 @@ class TestMembership:
         assert k32_rep3.is_codeword(BitVector.from_text("111"))
         assert not k32_rep3.is_codeword(BitVector.from_text("100"))
 
-    def test_unsatisfied(self, k32_rep3):
-        assert k32_rep3.unsatisfied(BitVector.from_text("000")) == set()
-        assert k32_rep3.unsatisfied(BitVector.from_text("100")) == {0, 1}
+    def test_failing_constraints(self, k32_rep3):
+        assert k32_rep3.failing_constraints(BitVector.from_text("000").to_bytes01()) == []
+        assert k32_rep3.failing_constraints(BitVector.from_text("100").to_bytes01()) == [0, 1]
 
-    def test_unsatisfied_localized_in_blocks(self):
+    def test_failing_constraints_localized_in_blocks(self):
         code = TannerCode(blocks_graph(3, 3), repetition_code(3))
         x = BitVector.from_text("000" + "100" + "000")
-        assert code.unsatisfied(x) == {1}
+        assert code.failing_constraints(x.to_bytes01()) == [1]
 
     def test_length_mismatch(self, k32_rep3):
         with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ def test_three_way_membership_agreement(k32_rep3, big_code):
         for _ in range(words):
             x = BitVector(code.n, rng.getrandbits(code.n))
             via_constraints = code.is_codeword(x)
-            via_unsat = not code.unsatisfied(x)
+            via_unsat = not code.failing_constraints(x.to_bytes01())
             via_matrix = mat_vec_mul(code.global_h, x).bits == 0
             assert via_constraints == via_unsat == via_matrix
 
