@@ -187,9 +187,7 @@ def cmd_decode_rand(args) -> int:
     code = _load_code(args)
     params = _params_for(code, args)
     word = _read_word(args)
-    config = RandDecodeConfig.for_params(
-        params, seed=args.seed, eps=args.eps, max_iters=args.max_iters
-    )
+    config = RandDecodeConfig.for_params(params, seed=args.seed, max_iters=args.max_iters)
     report = RandDecodeReport()
     try:
         result = randomized_decode(code, params, config, word, report=report)
@@ -244,16 +242,15 @@ def cmd_params(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    code = _load_code(args)
-    params = _params_for(code, args)
     config = ExperimentConfig(
         weights=tuple(int(w) for w in args.weights.split(",")),
         trials=args.trials,
         decoder=args.decoder,
         seed=args.seed,
-        rand_eps=args.eps,
         rand_max_iters=args.max_iters,
     )
+    code = _load_code(args)
+    params = _params_for(code, args)
     report = run_sweep(code, params, config)
     if args.out:
         Path(args.out).write_text(report.to_csv())
@@ -330,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_word_args(p)
     _add_param_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decode_rand)
@@ -352,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--decoder", choices=["det", "rand"], default="det")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--json", action="store_true")

@@ -56,8 +56,8 @@ class NoAcceptableBranch(DecodeFailure):
 class DecoderParams:
     """Derived schedule for one (graph, inner code, expansion) configuration.
 
-    eps0/eps1 admit any value in their open ranges; the defaults sit at half
-    the allowed maximum and 1/200 of the slack, respectively. strict_product
+    Every field follows from (c, d, alpha, delta, d0, n): eps0 sits at half
+    its allowed maximum and eps1 at 1/200 of its slack. strict_product
     records whether delta*d0 > 3 held (the stronger hypothesis); derivation
     only requires d0 > 3/delta - 1 and warns in the gap. `prune_bounds`
     is the search's pruning schedule as an integer reach table, built on
@@ -112,8 +112,6 @@ def derive_params(
     delta: float,
     d0: int,
     n: int,
-    eps0: float | None = None,
-    eps1: float | None = None,
 ) -> DecoderParams:
     """Instantiate the decoding schedule for a (c,d,alpha,delta) expander."""
     for name, size in (("c", c), ("d", d), ("n", n)):
@@ -128,21 +126,24 @@ def derive_params(
             f"infeasible: need d0 > 3/delta - 1 = {3 / delta - 1:.4f}, got {d0}"
         )
     t = math.floor(1 / delta)
-    if eps0 is None:
-        eps0 = 0.5 * min((d0 + 1 - 3 / delta) / 2, (t + 1) - 1 / delta)
+    eps0 = 0.5 * min((d0 + 1 - 3 / delta) / 2, (t + 1) - 1 / delta)
     if not (d0 > 3 / delta - 1 + 2 * eps0 and math.floor(1 / delta + eps0) == t):
         raise ValueError("eps0 outside its admissible range")
-    if eps1 is None:
-        eps1 = eps0 * delta**2 / 200
+    eps1 = eps0 * delta**2 / 200
     if not 0 < eps1 < eps0 * delta**2 / 100:
         raise ValueError("eps1 outside its admissible range")
     eps2 = eps1 / (c + 1) * (delta * (t + 1) - 1) / t
     eps3 = eps2 * (2 * (1 - eps1) * (0.5 + eps0 * delta**2 / 2) - 1)
     if eps3 <= 0:
         raise ValueError("eps3 is not positive; parameter pathology")
+    log_shrink = math.log(1 - eps3)
+    if log_shrink == 0:
+        raise ValueError(
+            f"eps3 = {eps3:.3g} is too small for 1 - eps3 to differ from 1; "
+            "parameter pathology"
+        )
     eps4 = (delta * d0 - 1) / (d0 - 1) * (1 - eps3)
     gamma = 2 * alpha / (d0 * (1 + 0.5 * c * delta))
-    log_shrink = math.log(1 - eps3)
     s0 = math.ceil(math.log(eps4 * (delta * d0 - 1) / (d0 - 1)) / log_shrink)
     radius = (d0 - 1) // 2
     ell = max(0, math.ceil(math.log(radius / (gamma * n)) / log_shrink))

@@ -33,36 +33,29 @@ class RandomizedAbort(Exception):
 
 @dataclass(frozen=True)
 class RandDecodeConfig:
-    eps: float
     max_iters: int
     seed: int
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
     @classmethod
     def for_params(
-        cls,
-        params: DecoderParams,
-        seed: int,
-        eps: float | None = None,
-        max_iters: int | None = None,
+        cls, params: DecoderParams, seed: int, max_iters: int | None = None
     ) -> RandDecodeConfig:
-        """Concentration margin defaults to eps0*delta^2/4; the iteration
-        budget to ceil(log(gamma/alpha) / log(1 - 3*eps*(delta*(t+1)-1)/(4t)))."""
-        if eps is None:
-            eps = params.eps0 * params.delta**2 / 4
+        """The iteration budget defaults to
+        ceil(log(gamma/alpha) / log(1 - 3*eps*(delta*(t+1)-1)/(4t))), with
+        the concentration margin eps = eps0*delta^2/4."""
         if max_iters is None:
+            eps = params.eps0 * params.delta**2 / 4
             shrink = 1 - 3 * eps * (params.delta * (params.t + 1) - 1) / (4 * params.t)
             if not 0 < shrink < 1:
                 raise ValueError("eps too large for the iteration-count formula")
             max_iters = max(
                 1, math.ceil(math.log(params.gamma / params.alpha) / math.log(shrink))
             )
-        return cls(eps=eps, max_iters=max_iters, seed=seed)
+        return cls(max_iters=max_iters, seed=seed)
 
 
 def vertex_draw(seed: int, iteration: int, vertex: int) -> float:

@@ -264,8 +264,6 @@ def build_lowerbound_graph(
     d0: int,
     n: int,
     seed: int,
-    alphas: tuple[float, ...] = LOWERBOUND_ALPHAS,
-    retries: int = LOWERBOUND_RETRIES,
 ) -> tuple[BipartiteGraph, int, float]:
     """Assemble the small-distance counterexample graph.
 
@@ -287,7 +285,7 @@ def build_lowerbound_graph(
             break
         if rest % d or (n1 * (c - 1)) % d:
             continue
-        sub = _search_sub_expander(c - 1, d, n1, seed, alphas, retries)
+        sub = _search_sub_expander(c - 1, d, n1, seed)
         if sub is None:
             continue
         g1, alpha = sub
@@ -298,10 +296,10 @@ def build_lowerbound_graph(
 
 
 def _search_sub_expander(
-    c1: int, d: int, n1: int, seed: int, alphas: tuple[float, ...], retries: int
+    c1: int, d: int, n1: int, seed: int
 ) -> tuple[BipartiteGraph, float] | None:
-    for alpha in sorted(alphas, reverse=True):
-        for attempt in range(retries):
+    for alpha in sorted(LOWERBOUND_ALPHAS, reverse=True):
+        for attempt in range(LOWERBOUND_RETRIES):
             try:
                 g1 = gen_random_biregular(c1, d, n1, seed + attempt)
             except ValueError:

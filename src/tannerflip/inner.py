@@ -3,10 +3,9 @@
 The code is defined by a parity-check matrix over GF(2). Construction
 brute-forces the minimum distance, keeps the syndrome of each unit vector
 (`column_syndromes`: flipping bit j of a word XORs entry j into its
-syndrome), tabulates the syndrome of every 8-bit chunk of a word, and
-builds a complete syndrome -> coset leader table out to the guaranteed
-correction radius, so membership checks and bounded-distance decoding are
-table lookups.
+syndrome), and builds a complete syndrome -> coset leader table out to the
+guaranteed correction radius, so bounded-distance decoding is a table
+lookup.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ class InnerCode:
         self.g = BitMatrix(self.k0, self.d, tuple(v.bits for v in g_rows))
         self.radius = (d0 - 1) // 2
         self.column_syndromes = _column_syndromes(h)
-        self._chunk_syndromes = _chunk_syndrome_tables(self.column_syndromes)
         self.syndrome_table = self._build_syndrome_table()
 
     @classmethod
@@ -68,14 +66,14 @@ class InnerCode:
 
     def syndrome_bits(self, word_bits: int) -> int:
         """Syndrome of a packed d-bit word: bit i is the parity of row i of h
-        on the word. One table lookup per 8-bit chunk, XORed."""
-        tables = self._chunk_syndromes
-        if len(tables) == 1:
-            return tables[0][word_bits]
+        on the word. It is the XOR of the column syndromes at the word's
+        1-bits, so the cost is per 1-bit."""
+        columns = self.column_syndromes
         syn = 0
-        for table in tables:
-            syn ^= table[word_bits & 0xFF]
-            word_bits >>= 8
+        while word_bits:
+            low = word_bits & -word_bits
+            syn ^= columns[low.bit_length() - 1]
+            word_bits ^= low
         return syn
 
     def check(self, w: BitVector) -> bool:
@@ -143,21 +141,6 @@ def _column_syndromes(h: BitMatrix) -> tuple[int, ...]:
             if (row >> j) & 1:
                 columns[j] |= 1 << i
     return tuple(columns)
-
-
-def _chunk_syndrome_tables(
-    column_syndromes: tuple[int, ...],
-) -> tuple[tuple[int, ...], ...]:
-    """tables[k][w] is the syndrome of the word whose bits 8k..8k+7 are w."""
-    column_syndromes += (0,) * (-len(column_syndromes) % 8)
-    tables = []
-    for k in range(0, len(column_syndromes), 8):
-        table = [0] * 256
-        for w in range(1, 256):
-            low = w & -w
-            table[w] = table[w ^ low] ^ column_syndromes[k + low.bit_length() - 1]
-        tables.append(tuple(table))
-    return tuple(tables)
 
 
 def _min_weight(g_rows: list[BitVector]) -> int:

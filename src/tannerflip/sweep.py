@@ -57,7 +57,6 @@ class ExperimentConfig:
     trials: int
     decoder: str = "det"  # "det" | "rand"
     seed: int = 0
-    rand_eps: float | None = None
     rand_max_iters: int | None = None
 
     def __post_init__(self) -> None:
@@ -67,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("weights must be nonnegative")
         if self.decoder not in ("det", "rand"):
             raise ValueError("decoder must be 'det' or 'rand'")
+        if self.decoder == "det" and self.rand_max_iters is not None:
+            raise ValueError("max_iters applies only to decoder 'rand'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,10 +143,7 @@ def run_trial(
             result = main_decode(code, params, received, report=det_report)
         else:
             rand_config = RandDecodeConfig.for_params(
-                params,
-                seed=derive_seed(trial_seed, 3),
-                eps=config.rand_eps,
-                max_iters=config.rand_max_iters,
+                params, seed=derive_seed(trial_seed, 3), max_iters=config.rand_max_iters
             )
             result = randomized_decode(
                 code, params, rand_config, received, report=rand_report
@@ -194,6 +192,8 @@ def _worker(job: tuple[int, int]) -> SweepRow:
 def run_sweep(
     code: TannerCode, params: DecoderParams, config: ExperimentConfig
 ) -> SweepReport:
+    if any(w > code.n for w in config.weights):
+        raise ValueError(f"weights must be at most n = {code.n}")
     jobs = [
         (weight, trial) for weight in config.weights for trial in range(config.trials)
     ]

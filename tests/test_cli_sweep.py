@@ -128,6 +128,9 @@ class TestSweep:
             ExperimentConfig(weights=(-1,), trials=1)
         with pytest.raises(ValueError):
             ExperimentConfig(weights=(1,), trials=1, decoder="magic")
+        with pytest.raises(ValueError, match="only to decoder 'rand'"):
+            ExperimentConfig(weights=(1,), trials=1, rand_max_iters=3)
+        ExperimentConfig(weights=(1,), trials=1, decoder="rand", rand_max_iters=3)
 
 
 class TestWorkerCount:
@@ -333,6 +336,31 @@ class TestCli:
         assert rc == 2
         assert "TANNER_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", ["0,4", "9223372036854775808"])
+    def test_sweep_weight_above_n_exit_3(self, k32_bundle, monkeypatch, capsys, weights):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(tf.sweep, "run_trial", no_trial)
+        rc = main(
+            ["sweep", "--code", str(k32_bundle), "--alpha", "0.3333",
+             "--delta", "1", "--weights", weights, "--trials", "2"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: weights must be at most n = 3\n"
+
+    @pytest.mark.parametrize("max_iters", ["0", "3"])
+    def test_det_sweep_rejects_max_iters_exit_3(self, k32_bundle, capsys, max_iters):
+        rc = main(
+            ["sweep", "--code", str(k32_bundle), "--alpha", "0.3333",
+             "--delta", "1", "--weights", "1", "--trials", "2",
+             "--decoder", "det", "--max-iters", max_iters]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: max_iters applies only to decoder 'rand'\n"
+        )
+
     def test_sweep_json_has_nodes(self, k32_bundle, capsys):
         rc = main(
             ["sweep", "--code", str(k32_bundle), "--alpha", "0.3333",
@@ -362,6 +390,14 @@ class TestCli:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == f"error: {flag[2:]} must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("delta, d0", [("0.50001", "7"), ("0.33334", "10")])
+    def test_params_tiny_eps3_exit_3(self, capsys, delta, d0):
+        argv = ["params", "--c", "12", "--d", "8", "--alpha", "0.02", "--delta", delta,
+                "--d0", d0, "--n", "2000"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps3 = ") and err.count("\n") == 1
 
     def test_zero_degree_graph_exit_3(self, tmp_path, capsys):
         graph = tmp_path / "g.bigraph"

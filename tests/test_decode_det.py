@@ -75,11 +75,12 @@ class TestDeriveParams:
             )
             assert p.gamma == pytest.approx(2 * alpha / (d0 * (1 + 0.5 * c * delta)))
 
-    def test_eps_overrides_validated(self):
-        with pytest.raises(ValueError):
-            tf.derive_params(c=2, d=3, alpha=1 / 3, delta=1.0, d0=3, n=3, eps0=2.0)
-        with pytest.raises(ValueError):
-            tf.derive_params(c=2, d=3, alpha=1 / 3, delta=1.0, d0=3, n=3, eps1=0.1)
+    @pytest.mark.parametrize("delta, d0", [(0.50001, 7), (0.33334, 10)])
+    def test_delta_just_above_reciprocal_rejected(self, delta, d0):
+        # 1/delta sits just under t + 1, so eps0, and with it eps3, is so
+        # small that 1 - eps3 rounds to 1 and log(1 - eps3) is 0
+        with pytest.raises(ValueError, match="eps3 .* too small"):
+            tf.derive_params(c=12, d=8, alpha=0.02, delta=delta, d0=d0, n=2000)
 
     @pytest.mark.parametrize(
         "field, size", [("c", 0), ("d", 0), ("n", 0), ("n", -5), ("c", -1)]

@@ -25,23 +25,21 @@ from tannerflip.tanner import corrupt
 class TestConfig:
     def test_defaults_follow_schedule(self, k32_params):
         cfg = RandDecodeConfig.for_params(k32_params, seed=0)
-        assert cfg.eps == pytest.approx(k32_params.eps0 * 1.0**2 / 4)
+        eps = k32_params.eps0 * 1.0**2 / 4
         t = k32_params.t
-        shrink = 1 - 3 * cfg.eps * (1.0 * (t + 1) - 1) / (4 * t)
+        shrink = 1 - 3 * eps * (1.0 * (t + 1) - 1) / (4 * t)
         expected = math.ceil(
             math.log(k32_params.gamma / k32_params.alpha) / math.log(shrink)
         )
         assert cfg.max_iters == max(1, expected)
 
     def test_overrides(self, k32_params):
-        cfg = RandDecodeConfig.for_params(k32_params, seed=1, eps=0.01, max_iters=5)
-        assert (cfg.eps, cfg.max_iters) == (0.01, 5)
+        cfg = RandDecodeConfig.for_params(k32_params, seed=1, max_iters=5)
+        assert (cfg.max_iters, cfg.seed) == (5, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RandDecodeConfig(eps=0.0, max_iters=3, seed=0)
-        with pytest.raises(ValueError):
-            RandDecodeConfig(eps=0.1, max_iters=0, seed=0)
+            RandDecodeConfig(max_iters=0, seed=0)
 
 
 class TestVertexDraw:
