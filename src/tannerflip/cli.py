@@ -195,7 +195,7 @@ def cmd_decode_rand(args) -> int:
         _emit(
             args,
             {
-                "outcome": "abort" if isinstance(exc, RandomizedAbort) else "decode_failure",
+                "outcome": "abort" if isinstance(exc, RandomizedAbort) else report.main.outcome,
                 "error": str(exc),
                 "unsat_trajectory": report.unsat_trajectory,
                 "report": json.loads(report.main.to_json_line()),

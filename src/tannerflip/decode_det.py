@@ -22,14 +22,14 @@ constraints next to its 1-coordinates are refreshed, and every other
 constraint passes by linearity. It is charged one check and one inner decode
 per constraint. No decode makes a whole-word pass: all state updates are
 incremental, so flipping a variable refreshes only the adjacent constraints,
-and the closing membership check (`DecodeState.word_is_codeword`) reads only
-the constraints next to the coordinates the decode changed. The search walk
-runs each chain of empty-bucket (no-op) levels as one generator, so a search
-call costs its real bucket flips plus O(c) per chain, rather than
-one step per level of the s0-deep sequence tree. Operation counters record
-every check, inner decode, bit flip and search node of the decoding for the
-cost-contract tests; the closing check is not counted, and is bounded by the
-flips.
+and the closing membership check (`TannerCode.failing_constraints` on the
+output word) reads only the constraints next to the output's 1-coordinates.
+The search walk runs each chain of empty-bucket (no-op) levels as one
+generator, so a search call costs its real bucket flips plus O(c) per chain,
+rather than one step per level of the s0-deep sequence tree. Operation
+counters record every check, inner decode, bit flip and search node of the
+decoding for the cost-contract tests; the closing check is not counted, and
+reads at most c * |output| constraints.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .gf2 import BitVector
+from .gf2 import BitVector, _ones
 from .tanner import TannerCode
 
 
@@ -191,17 +191,6 @@ class OpCounters:
         return OpCounters(self.checks, self.inner_decodes, self.flips, self.nodes)
 
 
-def _ones(word: bytes) -> list[int]:
-    """The positions of the 1-bytes of a 0/1 byte word, found with
-    bytes.find, so the cost is per 1-byte."""
-    ones = []
-    v = word.find(1)
-    while v >= 0:
-        ones.append(v)
-        v = word.find(1, v + 1)
-    return ones
-
-
 class DecodeState:
     """Mutable decoding state over an immutable code.
 
@@ -226,10 +215,7 @@ class DecodeState:
     flips. It is still charged one check and one inner decode per
     constraint: it decides every constraint's entry, those away from the
     support by linearity, and the flat charge keeps a report a function of
-    the syndrome alone (decoding truth + e and e give equal reports). Set-up
-    also keeps the received word and the constraints failing on it; nothing
-    else reads or changes them, and `word_is_codeword` checks the current
-    word against them.
+    the syndrome alone (decoding truth + e and e give equal reports).
     """
 
     def __init__(self, code: TannerCode, params: DecoderParams, x: BitVector) -> None:
@@ -246,17 +232,14 @@ class DecodeState:
         self._right_adj = graph.right_adj
         self._column_syndromes = code.inner.column_syndromes
         self._syndrome_table = code.inner.syndrome_table
-        self._read = code.read_restriction
-        self._received = x.to_bytes01()
-        self.x = bytearray(self._received)
+        self.x = bytearray(x.to_bytes01())
         self._syn = [0] * graph.n_right
         self.unsat: set[int] = set()
         self.targets = [-1] * graph.n_right
         self.votes = [0] * graph.n_left
         self.buckets: list[set[int]] = [set() for _ in range(graph.c + 1)]
         self.ops = OpCounters()
-        self._refresh(sorted(self._flip_syndromes(_ones(self._received))))
-        self._received_failing = frozenset(self.unsat)
+        self._refresh(sorted(self._flip_syndromes(_ones(self.x))))
         self.ops.checks = self.ops.inner_decodes = graph.n_right
 
     @property
@@ -265,35 +248,6 @@ class DecodeState:
 
     def x_vector(self) -> BitVector:
         return BitVector.from_bytes01(self.x)
-
-    def word_is_codeword(self) -> bool:
-        """Exact membership of the current word, by linearity from the
-        received word.
-
-        Let T be the constraints next to the coordinates where the word
-        differs from the received word. A constraint outside T sees the same
-        restriction as in the received word, so the word is a codeword iff
-        every constraint that failed on the received word is in T and every
-        constraint in T passes. This reads at most c * |differences|
-        constraints, no more than c * ops.flips when the word changed by
-        flips only. It reads the word, the received word and its failing
-        constraints as kept at set-up, and none of the incremental
-        bookkeeping (`_syn` included), so it stays an independent check of
-        the output.
-        """
-        received = self._received
-        diff = (
-            int.from_bytes(received, "little") ^ int.from_bytes(self.x, "little")
-        ).to_bytes(len(received), "little")
-        left_adj = self._left_adj
-        touched: set[int] = set()
-        for v in _ones(diff):
-            touched.update(left_adj[v])
-        if not touched.issuperset(self._received_failing):
-            return False
-        read, word = self._read, self.x
-        syndrome_bits = self.code.inner.syndrome_bits
-        return not any(syndrome_bits(read(word, u)) for u in touched)
 
     def _flip_syndromes(self, vs) -> set[int]:
         """XOR the flip of each variable in vs into the syndromes of the
@@ -523,13 +477,12 @@ def main_decode(
     `x` is the received word or, at the randomized hand-off, a DecodeState
     built on this `code` and `params`; its counters keep running.
 
-    The membership check is `DecodeState.word_is_codeword`: exact, and
-    independent of the incremental bookkeeping, but it reads only the
-    constraints next to coordinates that differ from the received word, at
-    most c * ops.flips of them, instead of making a second pass over all n.
-    It is not charged to the counters: it checks the decoder's output rather
-    than doing decoding work, and its cost is already bounded by the counted
-    flips.
+    The membership check is `code.failing_constraints` on the output word:
+    exact, and independent of the incremental bookkeeping, since it reads
+    only the word and the code. It reads the constraints next to the
+    output's 1-coordinates, at most c * |output| of them and none for the
+    zero word. It is not charged to the counters: it checks the decoder's
+    output rather than doing decoding work.
     """
     state = x if isinstance(x, DecodeState) else DecodeState(code, params, x)
     if state.code is not code or state.params is not params:
@@ -552,7 +505,7 @@ def main_decode(
         report.unsat_per_round.append(state.unsat_count)
     if state.unsat_count:
         _final_inner_pass(state)
-    if state.unsat_count or not state.word_is_codeword():
+    if state.unsat_count or code.failing_constraints(state.x):
         report.outcome = "residual_unsat"
         raise DecodeFailure("output fails the membership check")
     report.outcome = "codeword"
@@ -591,7 +544,6 @@ class TruthTrace:
     corrupt: frozenset[int]
     correct_senders: frozenset[int]
     confused_senders: frozenset[int]
-    flipped_clean: frozenset[int]
     bucket_sizes: tuple[int, ...]
     bucket_corrupt: tuple[int, ...]
     votes_from_correct: tuple[int, ...]
@@ -643,20 +595,16 @@ def compute_truth_trace(state: DecodeState, truth: BitVector) -> TruthTrace:
             confused.add(u)
     sizes = [0] * (c + 1)
     in_corrupt = [0] * (c + 1)
-    flipped_clean: set[int] = set()
     for m in range(1, c + 1):
         sizes[m] = len(state.buckets[m])
         for v in state.buckets[m]:
             if v in corrupt:
                 in_corrupt[m] += 1
-            else:
-                flipped_clean.add(v)
     return TruthTrace(
         truth=truth,
         corrupt=corrupt,
         correct_senders=frozenset(correct),
         confused_senders=frozenset(confused),
-        flipped_clean=frozenset(flipped_clean),
         bucket_sizes=tuple(sizes),
         bucket_corrupt=tuple(in_corrupt),
         votes_from_correct=tuple(votes_from_correct),

@@ -58,14 +58,18 @@ class RandDecodeConfig:
         return cls(max_iters=max_iters, seed=seed)
 
 
+def _keyed_hash(key: int, *parts: int) -> int:
+    """64-bit BLAKE2b of the parts, each as 8 signed little-endian bytes,
+    keyed by the low 64 bits of `key`; the one hash behind every seeded
+    draw and derived seed."""
+    data = b"".join(p.to_bytes(8, "little", signed=True) for p in parts)
+    h = blake2b(data, digest_size=8, key=(key & (2**64 - 1)).to_bytes(8, "little"))
+    return int.from_bytes(h.digest(), "little")
+
+
 def vertex_draw(seed: int, iteration: int, vertex: int) -> float:
     """Uniform [0,1) draw keyed by (seed, iteration, vertex)."""
-    h = blake2b(
-        iteration.to_bytes(8, "little") + vertex.to_bytes(8, "little"),
-        digest_size=8,
-        key=(seed & (2**64 - 1)).to_bytes(8, "little"),
-    )
-    return int.from_bytes(h.digest(), "little") / 2**64
+    return _keyed_hash(seed, iteration, vertex) / 2**64
 
 
 def sample_flip_set(

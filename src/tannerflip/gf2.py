@@ -10,6 +10,17 @@ _BYTES_OF_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
+def _ones(word: bytes | bytearray) -> list[int]:
+    """The positions of the 1-bytes of a 0/1 byte word, ascending, found
+    with `find`, so the cost is per 1-byte."""
+    ones = []
+    v = word.find(1)
+    while v >= 0:
+        ones.append(v)
+        v = word.find(1, v + 1)
+    return ones
+
+
 @dataclass(frozen=True, slots=True)
 class BitVector:
     """Immutable GF(2) vector of fixed length, packed into a single int.

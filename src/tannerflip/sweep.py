@@ -21,17 +21,13 @@ import os
 import time
 from dataclasses import dataclass, field, fields
 
-try:  # the C module alone: importing hashlib also loads OpenSSL
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
-
 from .gf2 import BitVector
 from .decode_det import DecodeFailure, DecodeReport, DecoderParams, main_decode
 from .decode_rand import (
     RandDecodeConfig,
     RandDecodeReport,
     RandomizedAbort,
+    _keyed_hash,
     randomized_decode,
 )
 from .tanner import TannerCode, corrupt
@@ -44,11 +40,7 @@ class UsageError(ValueError):
 
 def derive_seed(root: int, *parts: int) -> int:
     """Stable 63-bit seed from a root seed and integer tags."""
-    data = b"".join(p.to_bytes(8, "little", signed=True) for p in parts)
-    h = blake2b(
-        data, digest_size=8, key=(root & (2**64 - 1)).to_bytes(8, "little")
-    )
-    return int.from_bytes(h.digest(), "little") >> 1
+    return _keyed_hash(root, *parts) >> 1
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 A word of length n_left belongs to the code when its restriction to every
 constraint's neighborhood (taken in ascending left-vertex order) is an inner
-codeword. `read_restriction` is the one reader of a restriction, for the
-decoder and for `failing_constraints`, which checks every constraint.
+codeword. The inner code is linear, so a constraint with no neighbor in the
+word's support sees the zero restriction and passes: `failing_constraints`,
+the one membership check, reads only the constraints next to the word's
+1-coordinates, each with `read_restriction`, the one reader of a restriction.
 The generator basis (one elimination, which also gives `dim`) and the
 brute-force oracles are computed lazily; decoding and sweeps never need
 them. The elimination takes the stacked global parity checks one at a time,
@@ -19,7 +21,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
-from .gf2 import BitMatrix, BitVector, _kernel, _reversed, gray_span
+from .gf2 import BitMatrix, BitVector, _kernel, _ones, _reversed, gray_span
 from .graphs import BipartiteGraph
 from .inner import InnerCode
 
@@ -47,13 +49,21 @@ class TannerCode:
 
     def failing_constraints(self, word: bytes | bytearray) -> list[int]:
         """Constraints whose restriction of a 0/1 byte word fails the inner
-        check, ascending."""
+        check, ascending. Only the constraints next to the word's
+        1-coordinates are read, at most c * |word| of them (none for the
+        zero word): every other one sees the zero restriction, which the
+        linear inner code contains."""
         if len(word) != self.n:
             raise ValueError(f"length mismatch: expected {self.n}, got {len(word)}")
+        left_adj = self.graph.left_adj
+        near: set[int] = set()
+        for v in _ones(word):
+            near.update(left_adj[v])
         syndrome_bits, read = self.inner.syndrome_bits, self.read_restriction
-        return [u for u in range(self.graph.n_right) if syndrome_bits(read(word, u))]
+        return [u for u in sorted(near) if syndrome_bits(read(word, u))]
 
     def is_codeword(self, x: BitVector) -> bool:
+        """Membership of x, through `failing_constraints`."""
         return not self.failing_constraints(x.to_bytes01())
 
     def _reversed_checks(self) -> Iterator[int]:

@@ -92,7 +92,8 @@ def column_scan_kernel(m: BitMatrix) -> list[BitVector]:
 
 def reference_votes(code: tf.TannerCode, params, x: BitVector):
     """Recompute the voting state from definitions via decode_bounded."""
-    unsat = set(code.failing_constraints(x.to_bytes01()))
+    syndromes = reference_syndromes(code, x.to_bytes01())
+    unsat = {u for u, syndrome in enumerate(syndromes) if syndrome}
     targets = {}
     votes: Counter[int] = Counter()
     for u in range(code.graph.n_right):

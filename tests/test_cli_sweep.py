@@ -208,7 +208,11 @@ class TestCli:
         assert payload["report"]["outcome"] == "codeword"
         assert payload["report"]["nodes"] == 0  # k32 runs no search round
 
-    def test_decode_failure_exit_code(self, tmp_path, capsys):
+    @staticmethod
+    def one_block_code(tmp_path) -> list[str]:
+        """The --graph/--inner arguments of a single [8,4,4] constraint on
+        n = 8: two errors there lie beyond the inner radius, so they send no
+        vote and no decoder can remove them."""
         graph = tf.BipartiteGraph(1, 8, [[v // 8] for v in range(8)])
         inner = tf.InnerCode.from_parity_check(
             tf.BitMatrix.from_rows(
@@ -223,11 +227,28 @@ class TestCli:
         gp, ip = tmp_path / "b.bigraph", tmp_path / "b.innercode"
         gp.write_text(graph.to_text())
         ip.write_text(inner.to_text())
+        return ["--graph", str(gp), "--inner", str(ip)]
+
+    def test_decode_failure_exit_code(self, tmp_path):
         rc = main(
-            ["decode", "--graph", str(gp), "--inner", str(ip),
+            ["decode", *self.one_block_code(tmp_path),
              "--word", "11000000", "--alpha", "0.5", "--delta", "1"]
         )
         assert rc == 4
+
+    def test_decode_rand_failure_after_hand_off(self, tmp_path, capsys):
+        # the one failing constraint is within the hand-off threshold, so the
+        # state is handed off after iteration 1 and the deterministic phase
+        # fails; the outcome is that phase's, as `decode` reports it
+        argv = [*self.one_block_code(tmp_path), "--word", "11000000",
+                "--alpha", "0.5", "--delta", "1", "--json"]
+        assert main(["decode", *argv]) == 4
+        decoded = json.loads(capsys.readouterr().out)
+        assert main(["decode-rand", *argv, "--seed", "1"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["unsat_trajectory"] == [1, 1]
+        assert payload["outcome"] == decoded["outcome"] == "no_acceptable_branch"
+        assert payload["report"] == decoded["report"]
 
     def test_decode_rand_cli(self, k32_bundle, k32_code, capsys):
         argv = ["decode-rand", "--code", str(k32_bundle), "--alpha", "0.3333",

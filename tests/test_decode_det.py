@@ -195,7 +195,6 @@ class TestDecodeState:
             ref = reference_setup(code, params, x)
             assert st._syn == ref._syn
             assert st.unsat == ref.unsat
-            assert st._received_failing == ref.unsat
             assert st.targets == ref.targets
             assert st.votes == ref.votes
             assert st.buckets == ref.buckets
@@ -205,15 +204,16 @@ class TestDecodeState:
         self, big_code, big_params
     ):
         # two errors in one [8,4,4] restriction: its leader is None, which is
-        # falsy but still a failing constraint that the closing check needs
+        # falsy but still a failing constraint, for set-up and closing check
         u = 0
         x = BitVector.from_indices(big_code.n, big_code.graph.right_adj[u][:2])
         st = tf.DecodeState(big_code, big_params, x)
         assert big_code.inner.leader_for(big_code.read_restriction(st.x, u)) is None
-        assert u in st.unsat and u in st._received_failing
+        assert u in st.unsat
         assert st.targets[u] == -1
-        assert st._received_failing == reference_setup(big_code, big_params, x).unsat
-        assert not st.word_is_codeword()
+        assert st.unsat == reference_setup(big_code, big_params, x).unsat
+        assert u in big_code.failing_constraints(st.x)
+        assert big_code.failing_constraints(st.x) == sorted(st.unsat)
 
     def test_param_length_mismatch(self, k32_code):
         p = tf.derive_params(c=2, d=3, alpha=1 / 3, delta=1.0, d0=3, n=6)
@@ -722,16 +722,23 @@ def test_safety_bound_for_arbitrary_flips(big_code, big_params):
 
 
 class TestClosingCheck:
-    """main_decode closes with DecodeState.word_is_codeword, which checks the
-    output by linearity from the received word instead of re-reading it."""
+    """main_decode closes with TannerCode.failing_constraints on the output
+    word, which reads only the constraints next to the output's support."""
 
     @staticmethod
     def check(code, params, received: BitVector, output: BitVector) -> bool:
+        # bookkeeping that reports no failing constraint sends the decode
+        # straight to the closing check with the word `output`
         state = tf.DecodeState(code, params, received)
         state.x[:] = output.to_bytes01()
-        return state.word_is_codeword()
+        state.unsat.clear()
+        try:
+            assert tf.main_decode(code, params, state) == output
+        except tf.DecodeFailure:
+            return False
+        return True
 
-    def test_equals_is_codeword(self, big_code, big_params, dim3_code):
+    def test_equals_global_h(self, big_code, big_params, dim3_code):
         rng = random.Random(8)
         verdicts = Counter()
         dim3, dim3_params = dim3_code
@@ -740,6 +747,7 @@ class TestClosingCheck:
             (dim3, dim3_params, list(dim3.codewords())),
         ):
             n = code.n
+            checks = code.global_h.row_bits
             for _ in range(40):
                 truth = rng.choice(codewords)
                 received = (
@@ -754,7 +762,7 @@ class TestClosingCheck:
                     received ^ BitVector.from_indices(n, moved),
                 ]
                 for output in outputs:
-                    expected = code.is_codeword(output)
+                    expected = not any((row & output.bits).bit_count() & 1 for row in checks)
                     assert self.check(code, params, received, output) == expected
                     verdicts[expected] += 1
         assert verdicts[True] >= 80 and verdicts[False] >= 80
@@ -779,33 +787,52 @@ class TestClosingCheck:
             assert report.outcome == "residual_unsat"
             assert not code.is_codeword(state.x_vector())
 
-    def test_reads_at_most_c_per_flip(self, big_code, big_params, monkeypatch):
-        calls = []
-        closing = tf.DecodeState.word_is_codeword
+    def test_reads_the_constraints_next_to_the_output(
+        self, big_code, big_params, dim3_code, monkeypatch
+    ):
+        # the decoders read no restriction, so every read is the closing check's
+        reads, calls = [], []
+        read, failing = TannerCode.read_restriction, TannerCode.failing_constraints
 
-        def counted(state):
-            read = state._read
-            reads = []
-            state._read = lambda word, u: reads.append(u) or read(word, u)
-            try:
-                verdict = closing(state)
-            finally:
-                state._read = read
-            calls.append((len(reads), state.ops.flips))
-            return verdict
+        def counted_read(code, word, u):
+            reads.append(u)
+            return read(code, word, u)
 
-        monkeypatch.setattr(tf.DecodeState, "word_is_codeword", counted)
+        def counted_failing(code, word):
+            calls.append(word)
+            return failing(code, word)
+
+        monkeypatch.setattr(TannerCode, "read_restriction", counted_read)
+        monkeypatch.setattr(TannerCode, "failing_constraints", counted_failing)
+
+        def closing_reads(code, output: BitVector) -> int:
+            """The reads of the one closing check of the decode just run,
+            which must be those of the constraints next to its output."""
+            assert calls == [output.to_bytes01()]
+            near = {u for v in output.indices() for u in code.graph.left_adj[v]}
+            assert sorted(reads) == sorted(near)
+            count = len(reads)
+            reads.clear()
+            calls.clear()
+            return count
+
         zero = BitVector.zeros(big_code.n)
         for weight, seed in ((1, 1), (2, 2), (3, 3), (3, 4)):
             x = corrupt(zero, weight, seed)
             assert tf.main_decode(big_code, big_params, x) == zero
+            assert closing_reads(big_code, zero) == 0
         for weight, seed in ((20, 5), (60, 6)):
             x = corrupt(zero, weight, seed)
             cfg = tf.RandDecodeConfig.for_params(big_params, seed=seed)
             assert tf.randomized_decode(big_code, big_params, cfg, x) == zero
-        assert len(calls) == 6
-        c = big_code.graph.c
-        assert all(0 < reads <= c * flips for reads, flips in calls), calls
+            assert closing_reads(big_code, zero) == 0
+        dim3, dim3_params = dim3_code
+        nonzero = [cw for cw in dim3.codewords() if cw.bits]
+        assert len(nonzero) == 7
+        for truth in nonzero:
+            x = corrupt(truth, 2, seed=truth.weight())
+            assert tf.main_decode(dim3, dim3_params, x) == truth
+            assert 0 < closing_reads(dim3, truth) <= dim3.graph.c * truth.weight()
 
     def test_no_whole_word_pass_per_decode(self, big_code, big_params, monkeypatch):
         def refused(*args):
@@ -822,7 +849,6 @@ class TestClosingCheck:
             refreshed.extend(us)
             return refresh(state, us)
 
-        monkeypatch.setattr(TannerCode, "failing_constraints", refused)
         monkeypatch.setattr(TannerCode, "is_codeword", refused)
         monkeypatch.setattr(TannerCode, "read_restriction", counted)
         monkeypatch.setattr(tf.DecodeState, "_refresh", refresh_counted)
@@ -833,12 +859,14 @@ class TestClosingCheck:
             reads.clear()
             refreshed.clear()
             state = tf.DecodeState(big_code, big_params, x)
-            assert state._read.__func__ is counted
             assert reads == []
             support = {u for v in x.indices() for u in big_code.graph.left_adj[v]}
             assert refreshed == sorted(support) and len(refreshed) <= c * weight
             assert state.ops.checks == state.ops.inner_decodes == big_code.graph.n_right
+        # a decode to zero reads no restriction, the closing check included
+        reads.clear()
         assert tf.main_decode(big_code, big_params, corrupt(zero, 3, seed=9)) == zero
+        assert reads == []
         cfg = tf.RandDecodeConfig.for_params(big_params, seed=9)
         x = corrupt(zero, 30, seed=9)
         assert tf.randomized_decode(big_code, big_params, cfg, x) == zero
