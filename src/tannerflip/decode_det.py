@@ -16,7 +16,9 @@ because it is the one-round step that the lexicographic scan oracle
 The state keeps each constraint's inner syndrome up to date by XOR: flipping
 a variable XORs one column syndrome of the inner code into each adjacent
 constraint's syndrome, and one batched loop then refreshes those
-constraints, each by one coset-leader lookup, with the vote moves inline.
+constraints, each vote decided by one lookup, with the vote moves inline.
+The state's maps hold only live entries, so a decode allocates nothing per
+coordinate beyond its word.
 Set-up is the same update applied to the received word's support: only the
 constraints next to its 1-coordinates are refreshed, and every other
 constraint passes by linearity. It is charged one check and one inner decode
@@ -194,28 +196,36 @@ class OpCounters:
 class DecodeState:
     """Mutable decoding state over an immutable code.
 
-    Invariant at every operation boundary: `_syn[u]` is the inner syndrome of
-    constraint u's restriction of the current word, `unsat` is exactly the
-    set of failing constraints for the current word, `targets[u]` is the
-    vote sent by constraint u (-1 for none), `votes[v]` counts the votes on
-    variable v, and `buckets[m]` holds the variables with exactly m votes.
-    A flip is undone by flipping the same variables again, which is how the
-    search backs out of a branch.
+    Invariant at every operation boundary, with every map holding only live
+    entries: `_syn` maps each constraint whose restriction of the current
+    word has a nonzero inner syndrome to that syndrome, so `unsat`, its key
+    view, is exactly the set of failing constraints; `targets` maps each
+    constraint that sends a vote to the variable it votes for; `votes` maps
+    each variable with at least one vote to its count; and `buckets[m]`
+    holds the variables with exactly m votes (`buckets[0]` stays empty). A
+    constraint or variable absent from a map has syndrome 0, sends no vote
+    or holds no vote, so a state costs memory per live entry, not per
+    coordinate. A flip is undone by flipping the same variables again, which
+    is how the search backs out of a branch.
 
     Flipping v XORs the syndrome of the unit vector at v's slot in u's
-    neighborhood into `_syn[u]`, for each constraint u next to v; then
-    `_refresh` brings the dirty constraints' entries up to date in one loop,
-    each by one coset-leader lookup on its syndrome. No restriction is read.
+    neighborhood (read from the graph's per-edge `slots` table) into u's
+    syndrome, for each constraint u next to v; then `_refresh` brings the
+    dirty constraints' entries up to date in one loop, each vote decided by
+    one lookup in the inner code's `vote_slots` map. No restriction is read.
+    Every entry is a function of its constraint's syndrome alone and the
+    counts are sums, so the end state does not depend on the order in which
+    the dirty constraints are refreshed.
 
     Set-up is the same update applied to supp(x), from the zero word's state,
     which is the initial one: every syndrome 0, so every constraint passes
-    with coset leader 0 and sends no vote. Set-up therefore refreshes, in
-    ascending order, only the constraints next to the 1-coordinates of x, at
-    most c * |x| of them, and never makes a whole-word pass. It charges no
-    flips. It is still charged one check and one inner decode per
-    constraint: it decides every constraint's entry, those away from the
-    support by linearity, and the flat charge keeps a report a function of
-    the syndrome alone (decoding truth + e and e give equal reports).
+    and sends no vote, and every map is empty. Set-up therefore refreshes
+    only the constraints next to the 1-coordinates of x, at most c * |x| of
+    them, and never makes a whole-word pass. It charges no flips. It is
+    still charged one check and one inner decode per constraint: it decides
+    every constraint's entry, those away from the support by linearity, and
+    the flat charge keeps a report a function of the syndrome alone
+    (decoding truth + e and e give equal reports).
     """
 
     def __init__(self, code: TannerCode, params: DecoderParams, x: BitVector) -> None:
@@ -227,24 +237,29 @@ class DecodeState:
             raise ValueError(f"params were derived for another code than (c, d, d0, n) = {shape}")
         self.code = code
         self.params = params
-        self.t = params.t
+        self._c = graph.c
         self._left_adj = graph.left_adj
         self._right_adj = graph.right_adj
+        self._slots = graph.slots
         self._column_syndromes = code.inner.column_syndromes
-        self._syndrome_table = code.inner.syndrome_table
+        self._vote_slots = code.inner.vote_slots(params.t)
         self.x = bytearray(x.to_bytes01())
-        self._syn = [0] * graph.n_right
-        self.unsat: set[int] = set()
-        self.targets = [-1] * graph.n_right
-        self.votes = [0] * graph.n_left
+        self._syn: dict[int, int] = {}
+        self.targets: dict[int, int] = {}
+        self.votes: dict[int, int] = {}
         self.buckets: list[set[int]] = [set() for _ in range(graph.c + 1)]
         self.ops = OpCounters()
-        self._refresh(sorted(self._flip_syndromes(_ones(self.x))))
+        self._refresh(self._flip_syndromes(_ones(self.x)))
         self.ops.checks = self.ops.inner_decodes = graph.n_right
 
     @property
+    def unsat(self):
+        """The failing constraints: a live view of `_syn`'s keys."""
+        return self._syn.keys()
+
+    @property
     def unsat_count(self) -> int:
-        return len(self.unsat)
+        return len(self._syn)
 
     def x_vector(self) -> BitVector:
         return BitVector.from_bytes01(self.x)
@@ -252,53 +267,61 @@ class DecodeState:
     def _flip_syndromes(self, vs) -> set[int]:
         """XOR the flip of each variable in vs into the syndromes of the
         constraints next to it; returns those constraints."""
-        left_adj, right_adj = self._left_adj, self._right_adj
+        left_adj, slots, c = self._left_adj, self._slots, self._c
         syn, columns = self._syn, self._column_syndromes
         dirty: set[int] = set()
         for v in vs:
             adj = left_adj[v]
+            edge = v * c
             for u in adj:
-                syn[u] ^= columns[right_adj[u].index(v)]
+                s = syn.get(u, 0) ^ columns[slots[edge]]
+                edge += 1
+                if s:
+                    syn[u] = s
+                else:  # columns are nonzero (d0 > 1), so u had an entry
+                    del syn[u]
             dirty.update(adj)
         return dirty
 
     def _refresh(self, us) -> None:
         """Bring the entries of the constraints us in the invariant up to
         date with their syndromes, counting one check and one inner decode
-        each: one coset-leader lookup, then the vote moves inline."""
+        each. Vote counts move inline; each variable whose count changed
+        then moves between buckets once."""
         ops = self.ops
         ops.checks += len(us)
         ops.inner_decodes += len(us)
-        syn, table, t = self._syn, self._syndrome_table, self.t
-        right_adj, targets = self._right_adj, self.targets
-        votes, buckets, unsat = self.votes, self.buckets, self.unsat
+        syn, vote_slots = self._syn, self._vote_slots
+        right_adj, targets, votes = self._right_adj, self.targets, self.votes
+        before: dict[int, int] = {}  # count of each variable touched, on entry
         for u in us:
-            leader = table.get(syn[u])
-            new = -1
-            if leader == 0:
-                unsat.discard(u)
-            else:
-                unsat.add(u)
-                # None: beyond the inner radius, so failing but voteless
-                if leader and leader.bit_count() <= t:
-                    new = right_adj[u][(leader & -leader).bit_length() - 1]
-            old = targets[u]
-            if new != old:
-                if old >= 0:
-                    m = votes[old]
-                    buckets[m].discard(old)
-                    m -= 1
-                    votes[old] = m
-                    if m:
-                        buckets[m].add(old)
-                if new >= 0:
-                    m = votes[new]
-                    if m:
-                        buckets[m].discard(new)
-                    m += 1
-                    votes[new] = m
-                    buckets[m].add(new)
+            slot = vote_slots.get(syn.get(u, 0))
+            new = -1 if slot is None else right_adj[u][slot]
+            old = targets.get(u, -1)
+            if new == old:
+                continue
+            if old >= 0:
+                m = votes[old]
+                before.setdefault(old, m)
+                if m == 1:
+                    del votes[old]
+                else:
+                    votes[old] = m - 1
+            if new >= 0:
+                m = votes.get(new, 0)
+                before.setdefault(new, m)
+                votes[new] = m + 1
                 targets[u] = new
+            else:
+                del targets[u]
+        buckets = self.buckets
+        for v, m in before.items():
+            k = votes.get(v, 0)
+            if k != m:
+                if m:
+                    buckets[m].discard(v)
+                if k:
+                    buckets[k].add(v)
 
     def apply_flips(self, vs) -> list[int]:
         """Flip the given variables and refresh the adjacent constraints."""
@@ -309,7 +332,7 @@ class DecodeState:
         for v in flipped:
             x[v] ^= 1
         self.ops.flips += len(flipped)
-        self._refresh(sorted(self._flip_syndromes(flipped)))
+        self._refresh(self._flip_syndromes(flipped))
         return flipped
 
 
@@ -515,11 +538,12 @@ def main_decode(
 def _final_inner_pass(state: DecodeState) -> None:
     """Rewrite each still-unsatisfied restriction with its decoded codeword,
     refreshing u first: one check and one inner decode, no state change."""
+    table = state.code.inner.syndrome_table
     for u in sorted(state.unsat):
         if u not in state.unsat:
             continue
         state._refresh((u,))
-        leader = state._syndrome_table.get(state._syn[u])
+        leader = table.get(state._syn[u])
         if not leader:
             continue
         coords = state._right_adj[u]
@@ -573,18 +597,13 @@ def compute_truth_trace(state: DecodeState, truth: BitVector) -> TruthTrace:
     code = state.code
     if not code.is_codeword(truth):
         raise ValueError("truth must be a codeword")
-    corrupt = frozenset(
-        v for v in range(code.n) if state.x[v] != truth.bit(v)
-    )
+    corrupt = frozenset((state.x_vector() ^ truth).indices())
     c = code.graph.c
     correct: set[int] = set()
     confused: set[int] = set()
     votes_from_correct = [0] * (c + 1)
     truth_word = truth.to_bytes01()
-    for u in range(code.graph.n_right):
-        tgt = state.targets[u]
-        if tgt < 0:
-            continue
+    for u, tgt in sorted(state.targets.items()):
         r = code.read_restriction(state.x, u)
         leader = code.inner.leader_for(r)
         truth_bits = code.read_restriction(truth_word, u)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -36,16 +37,25 @@ class BipartiteGraph:
         for v, nb in enumerate(self.left_adj):
             if len(nb) != c or len(set(nb)) != c:
                 raise ValueError(f"left vertex {v} does not have {c} distinct neighbors")
-        right: list[list[int]] = [[] for _ in range(self.n_right)]
-        for v, nb in enumerate(self.left_adj):
-            for u in nb:
+            # nb is ascending, so its ends bound every index in it
+            for u in (nb[0], nb[-1]):
                 if not 0 <= u < self.n_right:
                     raise ValueError(f"right index {u} out of range")
-                right[u].append(v)
+        right: list[list[int]] = [[] for _ in range(self.n_right)]
+        slots: list[int] = []
+        add_slot = slots.append
+        for v, nb in enumerate(self.left_adj):
+            for u in nb:
+                r = right[u]
+                add_slot(len(r))
+                r.append(v)
         for u, nb in enumerate(right):
             if len(nb) != d:
                 raise ValueError(f"right vertex {u} has degree {len(nb)}, expected {d}")
         self.right_adj: tuple[tuple[int, ...], ...] = tuple(tuple(nb) for nb in right)
+        # edge k of left vertex v, to u = left_adj[v][k], sits at entry
+        # v * c + k: v's position in right_adj[u], one byte while d <= 256
+        self.slots = array("B" if d <= 256 else "L", slots)
 
     @cached_property
     def left_masks(self) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ brute-forces the minimum distance, keeps the syndrome of each unit vector
 (`column_syndromes`: flipping bit j of a word XORs entry j into its
 syndrome), and builds a complete syndrome -> coset leader table out to the
 guaranteed correction radius, so bounded-distance decoding is a table
-lookup.
+lookup. `vote_slots` derives from it, once per vote threshold, the map that
+makes a flip decoder's vote decision one lookup too.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ class InnerCode:
         self.radius = (d0 - 1) // 2
         self.column_syndromes = _column_syndromes(h)
         self.syndrome_table = self._build_syndrome_table()
+        self._vote_slots: dict[int, dict[int, int]] = {}
 
     @classmethod
     def from_parity_check(cls, h: BitMatrix) -> InnerCode:
@@ -63,6 +65,20 @@ class InnerCode:
                     continue
                 table[syn] = err
         return table
+
+    def vote_slots(self, t: int) -> dict[int, int]:
+        """The vote decision for flip decoding with vote threshold t: each
+        syndrome whose coset leader weighs 1..t maps to the position of the
+        leader's lowest 1-bit; every other syndrome sends no vote. Built
+        once per t from `syndrome_table` and cached on the code."""
+        slots = self._vote_slots.get(t)
+        if slots is None:
+            slots = self._vote_slots[t] = {
+                syn: (leader & -leader).bit_length() - 1
+                for syn, leader in self.syndrome_table.items()
+                if 0 < leader.bit_count() <= t
+            }
+        return slots
 
     def syndrome_bits(self, word_bits: int) -> int:
         """Syndrome of a packed d-bit word: bit i is the parity of row i of h

@@ -129,12 +129,22 @@ def reference_bounds(params, steps: int | None = None) -> list[float]:
     return bounds
 
 
+def assert_no_dead_entries(state: tf.DecodeState):
+    """The state's maps hold live entries only: no zero syndrome, no -1
+    target and no zero count."""
+    assert 0 not in state._syn.values()
+    assert -1 not in state.targets.values()
+    assert 0 not in state.votes.values()
+
+
 def assert_state_consistent(state: tf.DecodeState, code, params):
-    assert state._syn == reference_syndromes(code, state.x)
+    syndromes = reference_syndromes(code, state.x)
+    assert state._syn == {u: s for u, s in enumerate(syndromes) if s}
     unsat, targets, votes = reference_votes(code, params, state.x_vector())
     assert state.unsat == unsat
-    assert {u: t for u, t in enumerate(state.targets) if t >= 0} == targets
-    assert {v: m for v, m in enumerate(state.votes) if m} == dict(votes)
+    assert state.targets == targets
+    assert state.votes == dict(votes)
+    assert_no_dead_entries(state)
     for m in range(1, code.graph.c + 1):
         assert state.buckets[m] == {v for v, k in votes.items() if k == m}
     # hard_search reads "some vote is pending" as any(buckets)

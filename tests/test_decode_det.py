@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 
@@ -19,6 +20,7 @@ from tannerflip.inner import parity_check_code, repetition_code
 from tannerflip.tanner import TannerCode, corrupt
 
 from conftest import (
+    assert_no_dead_entries,
     assert_state_consistent,
     ext_hamming_inner,
     reference_bounds,
@@ -140,7 +142,7 @@ def reference_setup(code: TannerCode, params, x: BitVector) -> tf.DecodeState:
     the zero word, a codeword whose bookkeeping is the initial one."""
     st = tf.DecodeState(code, params, BitVector.zeros(code.n))
     st.x[:] = x.to_bytes01()
-    st._syn[:] = reference_syndromes(code, st.x)
+    st._syn.update((u, s) for u, s in enumerate(reference_syndromes(code, st.x)) if s)
     st.ops = tf.OpCounters()
     for u in range(code.graph.n_right):
         st._refresh((u,))
@@ -150,9 +152,9 @@ def reference_setup(code: TannerCode, params, x: BitVector) -> tf.DecodeState:
 class TestDecodeState:
     def test_initial_bookkeeping(self, k32_code, k32_params):
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("100"))
-        assert st.unsat == {0, 1}
-        assert st.targets == [0, 0]
-        assert st.votes == [2, 0, 0]
+        assert st._syn.keys() == st.unsat == {0, 1}
+        assert st.targets == {0: 0, 1: 0}
+        assert st.votes == {0: 2}
         assert st.buckets[2] == {0}
         assert_state_consistent(st, k32_code, k32_params)
 
@@ -199,6 +201,7 @@ class TestDecodeState:
             assert st.votes == ref.votes
             assert st.buckets == ref.buckets
             assert st.ops == ref.ops
+            assert_no_dead_entries(st)
 
     def test_setup_keeps_a_failing_constraint_beyond_the_radius(
         self, big_code, big_params
@@ -210,10 +213,29 @@ class TestDecodeState:
         st = tf.DecodeState(big_code, big_params, x)
         assert big_code.inner.leader_for(big_code.read_restriction(st.x, u)) is None
         assert u in st.unsat
-        assert st.targets[u] == -1
+        assert u not in st.targets
         assert st.unsat == reference_setup(big_code, big_params, x).unsat
         assert u in big_code.failing_constraints(st.x)
         assert big_code.failing_constraints(st.x) == sorted(st.unsat)
+
+    def test_decode_allocates_per_error_not_per_coordinate(self):
+        # the state's maps hold live entries only, so one decode of a
+        # 3-error word allocates far less than the 8 bytes per coordinate
+        # that even one list of n ints takes; the word's own 0/1 bytes are
+        # the only per-coordinate allocation (fresh code and params, so the
+        # cached vote map and reach table are built inside the measurement)
+        n = 8000
+        code = TannerCode(tf.gen_random_biregular(12, 8, n, seed=3), ext_hamming_inner())
+        params = tf.derive_params(12, 8, 0.02, 0.8, 4, n)
+        x = corrupt(BitVector.zeros(n), 3, seed=1)
+        tracemalloc.start()
+        try:
+            out = tf.main_decode(code, params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == BitVector.zeros(n)
+        assert peak < 8 * n
 
     def test_param_length_mismatch(self, k32_code):
         p = tf.derive_params(c=2, d=3, alpha=1 / 3, delta=1.0, d0=3, n=6)
@@ -731,7 +753,7 @@ class TestClosingCheck:
         # straight to the closing check with the word `output`
         state = tf.DecodeState(code, params, received)
         state.x[:] = output.to_bytes01()
-        state.unsat.clear()
+        state._syn.clear()  # the source of unsat
         try:
             assert tf.main_decode(code, params, state) == output
         except tf.DecodeFailure:
@@ -777,7 +799,7 @@ class TestClosingCheck:
             zero = BitVector.zeros(code.n)
             if mutation == "clear_unsat":
                 state = tf.DecodeState(code, params, corrupt(zero, 1, seed=81))
-                state.unsat.clear()
+                state._syn.clear()  # the source of unsat
             else:
                 state = tf.DecodeState(code, params, zero)
                 state.x[0] ^= 1
@@ -861,7 +883,8 @@ class TestClosingCheck:
             state = tf.DecodeState(big_code, big_params, x)
             assert reads == []
             support = {u for v in x.indices() for u in big_code.graph.left_adj[v]}
-            assert refreshed == sorted(support) and len(refreshed) <= c * weight
+            # each constraint next to the support once, in no set order
+            assert sorted(refreshed) == sorted(support) and len(refreshed) <= c * weight
             assert state.ops.checks == state.ops.inner_decodes == big_code.graph.n_right
         # a decode to zero reads no restriction, the closing check included
         reads.clear()

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from conftest import scan_small_code, wide_small_code
 from tannerflip.graphs import (
     BipartiteGraph,
     build_lowerbound_graph,
@@ -74,6 +75,49 @@ class TestGeneration:
         for v, nb in enumerate(g.left_adj):
             for u in nb:
                 assert v in g.right_adj[u]
+
+
+# Every graph the tests decode on, plus one with d > 256, whose slots need
+# more than a byte each.
+SLOT_GRAPHS = {
+    "k32": lambda request: request.getfixturevalue("k32_code").graph,
+    "big_12_8_n2000": lambda request: request.getfixturevalue("big_code").graph,
+    "expander_12_8_n30": lambda request: request.getfixturevalue("small_expander_code")[0].graph,
+    "dim3_2_8_n64": lambda request: request.getfixturevalue("dim3_code")[0].graph,
+    "scan_4_8_n32": lambda request: scan_small_code()[0].graph,
+    "wide_3_12_n48": lambda request: wide_small_code()[0].graph,
+    "lowerbound_4_2_20": lambda request: build_lowerbound_graph(4, 2, 20, seed=0)[0],
+    "blocks_1_8_n48": lambda request: BipartiteGraph(1, 8, [[v // 8] for v in range(48)]),
+    "wide_1_300_n300": lambda request: gen_random_biregular(1, 300, 300, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", list(SLOT_GRAPHS))
+def test_slots_record_each_edges_position(request, name):
+    # entry v*c + k is v's position in right_adj[u], u = left_adj[v][k]
+    g = SLOT_GRAPHS[name](request)
+    assert len(g.slots) == g.n_left * g.c
+    expected = [g.right_adj[u].index(v) for v, nb in enumerate(g.left_adj) for u in nb]
+    assert list(g.slots) == expected
+    # one byte per edge while d <= 256; wider entries hold slots up to d - 1
+    assert (g.slots.itemsize == 1) == (g.d <= 256)
+    assert max(g.slots) == g.d - 1
+
+
+@pytest.mark.parametrize(
+    "c, d, adj",
+    [
+        (1, 2, [[0], [-1]]),
+        (1, 2, [[0], [1]]),
+        (3, 3, [[-1, 0, 1], [0, 1, 2], [0, 1, 2]]),
+        (3, 3, [[0, 1, 3], [0, 1, 2], [0, 1, 2]]),
+    ],
+)
+def test_right_index_out_of_range(c, d, adj):
+    # n_right = n_left * c / d is 1 and then 3: a negative index or one of
+    # at least n_right is refused, wherever it sits in the list
+    with pytest.raises(ValueError, match="out of range"):
+        BipartiteGraph(c, d, adj)
 
 
 class TestVerifyExpansion:
