@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error, 3 validation failure, 4 decode failure.
-Most subcommands take --json for machine-readable output.
+Every subcommand takes --json for machine-readable output.
 """
 
 from __future__ import annotations
@@ -19,21 +19,10 @@ from .graphs import (
     gen_random_biregular,
     verify_expansion,
 )
-from .inner import InnerCode
-from .decode_det import (
-    DecodeFailure,
-    DecodeReport,
-    derive_params,
-    main_decode,
-)
-from .decode_rand import (
-    RandDecodeConfig,
-    RandDecodeReport,
-    RandomizedAbort,
-    randomized_decode,
-)
-from .sweep import ExperimentConfig, UsageError, run_sweep
-from .tanner import TannerCode, corrupt, load_bundle, write_bundle
+from .decode_det import DecodeFailure, derive_params
+from .decode_rand import RandDecodeReport, RandomizedAbort
+from .sweep import DECODERS, ExperimentConfig, UsageError, decode, run_sweep
+from .tanner import TannerCode, corrupt, load_bundle, load_code, write_bundle
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,7 +31,7 @@ EXIT_DECODE = 4
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, separators=(",", ":")))
     else:
         print(text)
@@ -57,9 +46,7 @@ def _read_word(args) -> BitVector:
 def _load_code(args) -> TannerCode:
     if args.code is not None:
         return load_bundle(args.code)
-    graph = BipartiteGraph.from_text(Path(args.graph).read_text())
-    inner = InnerCode.from_text(Path(args.inner).read_text())
-    return TannerCode(graph, inner)
+    return load_code(args.graph, args.inner)
 
 
 def _add_code_args(p: argparse.ArgumentParser) -> None:
@@ -128,9 +115,7 @@ def cmd_lowerbound_graph(args) -> int:
 
 
 def cmd_build_code(args) -> int:
-    graph = BipartiteGraph.from_text(Path(args.graph).read_text())
-    inner = InnerCode.from_text(Path(args.inner).read_text())
-    TannerCode(graph, inner)  # degree compatibility check
+    load_code(args.graph, args.inner)  # degree compatibility check
     base = Path(args.out).parent  # load_bundle resolves paths against it
     write_bundle(
         args.out, os.path.relpath(args.graph, base), os.path.relpath(args.inner, base)
@@ -165,73 +150,33 @@ def cmd_decode(args) -> int:
     code = _load_code(args)
     params = _params_for(code, args)
     word = _read_word(args)
-    report = DecodeReport()
-    try:
-        result = main_decode(code, params, word, report=report)
-    except DecodeFailure as exc:
-        _emit(
-            args,
-            {"outcome": report.outcome, "error": str(exc), "report": json.loads(report.to_json_line())},
-            f"decode failed: {exc}",
-        )
-        return EXIT_DECODE
-    _emit(
-        args,
-        {"word": result.to_text(), "report": json.loads(report.to_json_line())},
-        result.to_text(),
-    )
-    return EXIT_OK
-
-
-def cmd_decode_rand(args) -> int:
-    code = _load_code(args)
-    params = _params_for(code, args)
-    word = _read_word(args)
-    config = RandDecodeConfig.for_params(params, seed=args.seed, max_iters=args.max_iters)
     report = RandDecodeReport()
     try:
-        result = randomized_decode(code, params, config, word, report=report)
-    except (RandomizedAbort, DecodeFailure) as exc:
-        _emit(
-            args,
-            {
-                "outcome": "abort" if isinstance(exc, RandomizedAbort) else report.main.outcome,
-                "error": str(exc),
-                "unsat_trajectory": report.unsat_trajectory,
-                "report": json.loads(report.main.to_json_line()),
-            },
-            f"decode failed: {exc}",
+        result = decode(
+            code, params, args.decoder, word, report,
+            seed=args.seed, max_iters=args.max_iters,
         )
-        return EXIT_DECODE
-    _emit(
-        args,
-        {
-            "word": result.to_text(),
-            "iterations": report.iterations,
-            "unsat_trajectory": report.unsat_trajectory,
-            "report": json.loads(report.main.to_json_line()),
-        },
-        result.to_text(),
-    )
-    return EXIT_OK
+    except (RandomizedAbort, DecodeFailure) as exc:
+        payload = {"outcome": exc.outcome, "error": str(exc)}
+        text, status = f"decode failed: {exc}", EXIT_DECODE
+    else:
+        payload = {"word": result.to_text()}
+        text, status = result.to_text(), EXIT_OK
+    if report.unsat_trajectory:  # only a randomized decode records one
+        payload["iterations"] = report.iterations
+        payload["unsat_trajectory"] = report.unsat_trajectory
+    payload["report"] = report.main.to_dict()
+    _emit(args, payload, text)
+    return status
 
 
 def cmd_params(args) -> int:
     params = derive_params(
         c=args.c, d=args.d, alpha=args.alpha, delta=args.delta, d0=args.d0, n=args.n
     )
-    payload = {
-        "t": params.t,
-        "eps0": params.eps0,
-        "eps1": params.eps1,
-        "eps2": params.eps2,
-        "eps3": params.eps3,
-        "eps4": params.eps4,
-        "gamma": params.gamma,
-        "s0": params.s0,
-        "ell": params.ell,
-        "strict_product": params.strict_product,
-    }
+    names = ("t", "eps0", "eps1", "eps2", "eps3", "eps4", "gamma", "s0", "ell",
+             "strict_product")
+    payload = {name: getattr(params, name) for name in names}
     text = (
         f"t={params.t} gamma={params.gamma:.6g} s0={params.s0} ell={params.ell}\n"
         f"eps0={params.eps0:.6g} eps1={params.eps1:.6g} eps2={params.eps2:.6g} "
@@ -254,7 +199,7 @@ def cmd_sweep(args) -> int:
     report = run_sweep(code, params, config)
     if args.out:
         Path(args.out).write_text(report.to_csv())
-    if getattr(args, "json", False):
+    if args.json:
         print(report.to_json())
     else:
         print(f"success_rate={report.success_rate():.4f} rows={len(report.rows)}")
@@ -271,14 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gen_graph)
 
     p = sub.add_parser("verify-expansion", help="exhaustively verify expansion")
     p.add_argument("--graph", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_expansion)
 
     p = sub.add_parser("lowerbound-graph", help="build the small-distance construction")
@@ -287,40 +230,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lowerbound_graph)
 
     p = sub.add_parser("build-code", help="write a tanner v1 manifest")
     p.add_argument("--graph", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_build_code)
 
     p = sub.add_parser("mindist", help="brute-force minimum distance")
     _add_code_args(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mindist)
 
     p = sub.add_parser("encode", help="encode a message")
     _add_code_args(p)
     p.add_argument("--message", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("corrupt", help="flip a seeded random subset")
     _add_word_args(p)
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser("decode", help="deterministic decode")
     _add_code_args(p)
     _add_word_args(p)
     _add_param_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_decode)
+    p.set_defaults(func=cmd_decode, decoder="det", seed=0, max_iters=None)
 
     p = sub.add_parser("decode-rand", help="randomized decode")
     _add_code_args(p)
@@ -328,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_decode_rand)
+    p.set_defaults(func=cmd_decode, decoder="rand")
 
     p = sub.add_parser("params", help="derive the decoding schedule")
     p.add_argument("--c", type=int, required=True)
@@ -338,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--d0", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("sweep", help="seeded decode sweep")
@@ -346,13 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_args(p)
     p.add_argument("--weights", required=True, help="comma-separated error weights")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--decoder", choices=["det", "rand"], default="det")
+    p.add_argument("--decoder", choices=DECODERS, default="det")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
+    for p in sub.choices.values():  # added last, so usage lines keep their order
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -47,11 +47,16 @@ from .tanner import TannerCode
 
 
 class DecodeFailure(Exception):
-    """The decoder could not produce a codeword (input outside the radius)."""
+    """The decoder could not produce a codeword (input outside the radius).
+    `outcome` names the failure in reports, sweep rows and CLI output."""
+
+    outcome = "residual_unsat"
 
 
 class NoAcceptableBranch(DecodeFailure):
     """Every flip sequence was exhausted without an acceptable reduction."""
+
+    outcome = "no_acceptable_branch"
 
 
 @dataclass(frozen=True)
@@ -471,20 +476,20 @@ class DecodeReport:
     ops: OpCounters = field(default_factory=OpCounters)
     outcome: str = ""
 
+    def to_dict(self) -> dict:
+        return {
+            "input_weight": self.input_weight,
+            "rounds_used": self.rounds_used,
+            "unsat_per_round": self.unsat_per_round,
+            "checks": self.ops.checks,
+            "inner_decodes": self.ops.inner_decodes,
+            "flips": self.ops.flips,
+            "nodes": self.ops.nodes,
+            "outcome": self.outcome,
+        }
+
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "input_weight": self.input_weight,
-                "rounds_used": self.rounds_used,
-                "unsat_per_round": self.unsat_per_round,
-                "checks": self.ops.checks,
-                "inner_decodes": self.ops.inner_decodes,
-                "flips": self.ops.flips,
-                "nodes": self.ops.nodes,
-                "outcome": self.outcome,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
 def main_decode(
@@ -516,21 +521,20 @@ def main_decode(
     report.rounds_used = 0
     report.unsat_per_round = [state.unsat_count]
     report.outcome = "failed"
-    for _ in range(params.ell):
-        if state.unsat_count == 0:
-            break
-        try:
+    try:
+        for _ in range(params.ell):
+            if state.unsat_count == 0:
+                break
             hard_search(state)
-        except NoAcceptableBranch:
-            report.outcome = "no_acceptable_branch"
-            raise
-        report.rounds_used += 1
-        report.unsat_per_round.append(state.unsat_count)
-    if state.unsat_count:
-        _final_inner_pass(state)
-    if state.unsat_count or code.failing_constraints(state.x):
-        report.outcome = "residual_unsat"
-        raise DecodeFailure("output fails the membership check")
+            report.rounds_used += 1
+            report.unsat_per_round.append(state.unsat_count)
+        if state.unsat_count:
+            _final_inner_pass(state)
+        if state.unsat_count or code.failing_constraints(state.x):
+            raise DecodeFailure("output fails the membership check")
+    except DecodeFailure as exc:
+        report.outcome = exc.outcome
+        raise
     report.outcome = "codeword"
     return state.x_vector()
 

@@ -30,6 +30,8 @@ from .tanner import TannerCode
 class RandomizedAbort(Exception):
     """The iteration budget ran out before the hand-off threshold fired."""
 
+    outcome = "abort"
+
 
 @dataclass(frozen=True)
 class RandDecodeConfig:

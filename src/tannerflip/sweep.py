@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .gf2 import BitVector
-from .decode_det import DecodeFailure, DecodeReport, DecoderParams, main_decode
+from .decode_det import DecodeFailure, DecoderParams, main_decode
 from .decode_rand import (
     RandDecodeConfig,
     RandDecodeReport,
@@ -43,11 +43,32 @@ def derive_seed(root: int, *parts: int) -> int:
     return _keyed_hash(root, *parts) >> 1
 
 
+# The decoders `decode` dispatches on, by name
+DECODERS = ("det", "rand")
+
+
+def decode(
+    code: TannerCode, params: DecoderParams, decoder: str, x: BitVector,
+    report: RandDecodeReport, seed: int = 0, max_iters: int | None = None,
+) -> BitVector:
+    """Decode x with the named decoder into `report`: "det" runs main_decode
+    on `report.main`, "rand" runs randomized_decode with `seed` and the
+    iteration budget `max_iters`. A failure propagates and names itself by
+    its `outcome`. The decoders are read as module globals at each call, so
+    rebinding them here reaches every sweep and CLI decode."""
+    if decoder == "det":
+        return main_decode(code, params, x, report=report.main)
+    if decoder == "rand":
+        config = RandDecodeConfig.for_params(params, seed=seed, max_iters=max_iters)
+        return randomized_decode(code, params, config, x, report=report)
+    raise ValueError(f"unknown decoder {decoder!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     weights: tuple[int, ...]
     trials: int
-    decoder: str = "det"  # "det" | "rand"
+    decoder: str = "det"  # one of DECODERS
     seed: int = 0
     rand_max_iters: int | None = None
 
@@ -56,8 +77,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
-        if self.decoder not in ("det", "rand"):
-            raise ValueError("decoder must be 'det' or 'rand'")
+        if self.decoder not in DECODERS:
+            raise ValueError(f"decoder must be {' or '.join(map(repr, DECODERS))}")
         if self.decoder == "det" and self.rand_max_iters is not None:
             raise ValueError("max_iters applies only to decoder 'rand'")
 
@@ -126,36 +147,28 @@ def run_trial(
     trial_seed = derive_seed(config.seed, weight, trial)
     truth = BitVector.zeros(code.n)
     received = corrupt(truth, weight, derive_seed(trial_seed, 2))
-    det_report = DecodeReport()
-    rand_report = RandDecodeReport(main=det_report)
+    report = RandDecodeReport()
     start = time.monotonic()
     result = None
     try:
-        if config.decoder == "det":
-            result = main_decode(code, params, received, report=det_report)
-        else:
-            rand_config = RandDecodeConfig.for_params(
-                params, seed=derive_seed(trial_seed, 3), max_iters=config.rand_max_iters
-            )
-            result = randomized_decode(
-                code, params, rand_config, received, report=rand_report
-            )
+        result = decode(
+            code, params, config.decoder, received, report,
+            seed=derive_seed(trial_seed, 3), max_iters=config.rand_max_iters,
+        )
         outcome = "ok" if result == truth else "wrong_codeword"
-    except RandomizedAbort:
-        outcome = "abort"
-    except DecodeFailure:
-        outcome = det_report.outcome
+    except (RandomizedAbort, DecodeFailure) as exc:
+        outcome = exc.outcome
     # stored at CSV precision; timing is diagnostic only, counters are the signal
     wall_ms = round((time.monotonic() - start) * 1000.0, 3)
-    ops = det_report.ops
+    ops = report.main.ops
     return SweepRow(
         weight=weight,
         trial=trial,
         seed=trial_seed,
         success=result == truth,
         dist_to_truth=result.distance(truth) if result is not None else -1,
-        rounds=det_report.rounds_used,
-        rand_iters=rand_report.iterations,
+        rounds=report.main.rounds_used,
+        rand_iters=report.iterations,
         checks=ops.checks,
         inner_decodes=ops.inner_decodes,
         flips=ops.flips,
@@ -235,6 +248,8 @@ def parse_csv(text: str) -> SweepReport:
 
 
 __all__ = [
+    "DECODERS",
+    "decode",
     "ExperimentConfig",
     "SweepRow",
     "SweepReport",

@@ -168,9 +168,13 @@ def load_bundle(manifest_path) -> TannerCode:
     parts = manifest.read_text().strip().split()
     if len(parts) != 4 or " ".join(parts[:2]) != MANIFEST_TAG:
         raise ValueError(f"manifest must read '{MANIFEST_TAG} <graph> <inner>'")
-    base = manifest.parent
-    graph = BipartiteGraph.from_text((base / parts[2]).read_text())
-    inner = InnerCode.from_text((base / parts[3]).read_text())
+    return load_code(manifest.parent / parts[2], manifest.parent / parts[3])
+
+
+def load_code(graph_path, inner_path) -> TannerCode:
+    """Load a code from a 'bigraph v1' file and an 'innercode v1' file."""
+    graph = BipartiteGraph.from_text(Path(graph_path).read_text())
+    inner = InnerCode.from_text(Path(inner_path).read_text())
     return TannerCode(graph, inner)
 
 
@@ -179,6 +183,7 @@ __all__ = [
     "corrupt",
     "write_bundle",
     "load_bundle",
+    "load_code",
     "MAX_BRUTEFORCE_DIM",
     "MAX_ORACLE_DIM",
 ]

@@ -120,6 +120,14 @@ class TestSweep:
         report = run_sweep(k32_code, k32_params, config)
         assert all(row.outcome in ("ok", "abort") for row in report.rows)
         assert any(row.rand_iters >= 1 for row in report.rows)
+        # some of these trials need 2-5 iterations, so a budget of 1 aborts
+        config = ExperimentConfig(
+            weights=(1,), trials=6, seed=7, decoder="rand", rand_max_iters=1
+        )
+        rows = run_sweep(k32_code, k32_params, config).rows
+        failed = [r for r in rows if not r.success]
+        assert failed
+        assert all(r.outcome == tf.RandomizedAbort.outcome for r in failed)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -247,6 +255,7 @@ class TestCli:
         assert main(["decode-rand", *argv, "--seed", "1"]) == 4
         payload = json.loads(capsys.readouterr().out)
         assert payload["unsat_trajectory"] == [1, 1]
+        assert payload["iterations"] == 1
         assert payload["outcome"] == decoded["outcome"] == "no_acceptable_branch"
         assert payload["report"] == decoded["report"]
 
@@ -266,6 +275,7 @@ class TestCli:
         assert rc == 4
         payload = json.loads(capsys.readouterr().out)
         assert payload["outcome"] == "abort"
+        assert payload["iterations"] == 1
         assert payload["report"]["outcome"] == ""
         assert payload["report"]["checks"] >= k32_code.graph.n_right
 

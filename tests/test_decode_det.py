@@ -804,9 +804,9 @@ class TestClosingCheck:
                 state = tf.DecodeState(code, params, zero)
                 state.x[0] ^= 1
             report = tf.DecodeReport()
-            with pytest.raises(tf.DecodeFailure):
+            with pytest.raises(tf.DecodeFailure) as exc:
                 tf.main_decode(code, params, state, report=report)
-            assert report.outcome == "residual_unsat"
+            assert exc.value.outcome == report.outcome == "residual_unsat"
             assert not code.is_codeword(state.x_vector())
 
     def test_reads_the_constraints_next_to_the_output(
