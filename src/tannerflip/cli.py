@@ -20,7 +20,7 @@ from .graphs import (
     verify_expansion,
 )
 from .decode_det import DecodeFailure, derive_params
-from .decode_rand import RandDecodeReport, RandomizedAbort
+from .decode_rand import RandDecodeReport
 from .sweep import DECODERS, ExperimentConfig, UsageError, decode, run_sweep
 from .tanner import TannerCode, corrupt, load_bundle, load_code, write_bundle
 
@@ -156,7 +156,7 @@ def cmd_decode(args) -> int:
             code, params, args.decoder, word, report,
             seed=args.seed, max_iters=args.max_iters,
         )
-    except (RandomizedAbort, DecodeFailure) as exc:
+    except DecodeFailure as exc:
         payload = {"outcome": exc.outcome, "error": str(exc)}
         text, status = f"decode failed: {exc}", EXIT_DECODE
     else:

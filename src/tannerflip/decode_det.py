@@ -19,10 +19,13 @@ constraint's syndrome, and one batched loop then refreshes those
 constraints, each vote decided by one lookup, with the vote moves inline.
 The state's maps hold only live entries, so a decode allocates nothing per
 coordinate beyond its word.
-Set-up is the same update applied to the received word's support: only the
-constraints next to its 1-coordinates are refreshed, and every other
-constraint passes by linearity. It is charged one check and one inner decode
-per constraint. No decode makes a whole-word pass: all state updates are
+Set-up is the same update applied to the received word's support, read
+from its packed bits (`BitVector.indices`): only the constraints next to its
+1-coordinates are refreshed, and every other constraint passes by linearity.
+Set-up is charged one check and one inner decode per constraint. The output
+is packed from the word's final 1-positions (`BitVector.from_bytes01`, per 1
+on a sparse word), so a decode converts its word per 1-bit, not per
+coordinate. No decode makes a whole-word pass: all state updates are
 incremental, so flipping a variable refreshes only the adjacent constraints,
 and the closing membership check (`TannerCode.failing_constraints` on the
 output word) reads only the constraints next to the output's 1-coordinates.
@@ -42,7 +45,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .gf2 import BitVector, _ones
+from .gf2 import BitVector
 from .tanner import TannerCode
 
 
@@ -248,13 +251,16 @@ class DecodeState:
         self._slots = graph.slots
         self._column_syndromes = code.inner.column_syndromes
         self._vote_slots = code.inner.vote_slots(params.t)
-        self.x = bytearray(x.to_bytes01())
+        ones = x.indices()
+        self.x = word = bytearray(x.n)
+        for v in ones:
+            word[v] = 1
         self._syn: dict[int, int] = {}
         self.targets: dict[int, int] = {}
         self.votes: dict[int, int] = {}
         self.buckets: list[set[int]] = [set() for _ in range(graph.c + 1)]
         self.ops = OpCounters()
-        self._refresh(self._flip_syndromes(_ones(self.x)))
+        self._refresh(self._flip_syndromes(ones))
         self.ops.checks = self.ops.inner_decodes = graph.n_right
 
     @property
@@ -512,11 +518,14 @@ def main_decode(
     zero word. It is not charged to the counters: it checks the decoder's
     output rather than doing decoding work.
     """
-    state = x if isinstance(x, DecodeState) else DecodeState(code, params, x)
+    if isinstance(x, DecodeState):
+        state, weight = x, x.x.count(1)
+    else:
+        state, weight = DecodeState(code, params, x), x.weight()
     if state.code is not code or state.params is not params:
         raise ValueError("state was built on another code or params")
     report = report or DecodeReport()
-    report.input_weight = state.x.count(1)
+    report.input_weight = weight
     report.ops = state.ops
     report.rounds_used = 0
     report.unsat_per_round = [state.unsat_count]

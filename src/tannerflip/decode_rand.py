@@ -5,7 +5,8 @@ Each iteration collects one vote per decodable-but-wrong constraint (lowest
 mismatching neighbor), then flips a random subset of the voted variables:
 a variable with m votes is kept with probability m/(2c). Draws are keyed by
 (seed, iteration, vertex) through a counter-based hash, so results are
-order-independent and bitwise reproducible.
+order-independent and bitwise reproducible; each iteration keys the hash on
+(seed, iteration) once and extends a copy by each vertex.
 
 The word is set up once: one DecodeState runs the iterations and is handed
 to `main_decode`, so the report's counters cover both phases.
@@ -23,11 +24,17 @@ except ImportError:
     from hashlib import blake2b
 
 from .gf2 import BitVector
-from .decode_det import DecodeReport, DecodeState, DecoderParams, main_decode
+from .decode_det import (
+    DecodeFailure,
+    DecodeReport,
+    DecodeState,
+    DecoderParams,
+    main_decode,
+)
 from .tanner import TannerCode
 
 
-class RandomizedAbort(Exception):
+class RandomizedAbort(DecodeFailure):
     """The iteration budget ran out before the hand-off threshold fired."""
 
     outcome = "abort"
@@ -60,18 +67,36 @@ class RandDecodeConfig:
         return cls(max_iters=max_iters, seed=seed)
 
 
-def _keyed_hash(key: int, *parts: int) -> int:
-    """64-bit BLAKE2b of the parts, each as 8 signed little-endian bytes,
-    keyed by the low 64 bits of `key`; the one hash behind every seeded
-    draw and derived seed."""
+def _keyed(key: int, *parts: int):
+    """64-bit BLAKE2b, keyed by the low 64 bits of `key`, fed the parts, each
+    as 8 signed little-endian bytes; the one hash behind every seeded draw
+    and derived seed. Returned undigested, so it can be copied and extended."""
     data = b"".join(p.to_bytes(8, "little", signed=True) for p in parts)
-    h = blake2b(data, digest_size=8, key=(key & (2**64 - 1)).to_bytes(8, "little"))
-    return int.from_bytes(h.digest(), "little")
+    return blake2b(data, digest_size=8, key=(key & (2**64 - 1)).to_bytes(8, "little"))
+
+
+def _keyed_hash(key: int, *parts: int) -> int:
+    """The digest of `_keyed` as an unsigned 64-bit int."""
+    return int.from_bytes(_keyed(key, *parts).digest(), "little")
+
+
+def iteration_draw(seed: int, iteration: int) -> Callable[[int], float]:
+    """The uniform [0,1) draw of each vertex in one iteration, keyed by
+    (seed, iteration, vertex): the hash is keyed and fed the iteration once,
+    and each draw extends a copy of it by the vertex."""
+    prefix = _keyed(seed, iteration)
+
+    def draw(vertex: int) -> float:
+        h = prefix.copy()
+        h.update(vertex.to_bytes(8, "little", signed=True))
+        return int.from_bytes(h.digest(), "little") / 2**64
+
+    return draw
 
 
 def vertex_draw(seed: int, iteration: int, vertex: int) -> float:
     """Uniform [0,1) draw keyed by (seed, iteration, vertex)."""
-    return _keyed_hash(seed, iteration, vertex) / 2**64
+    return iteration_draw(seed, iteration)(vertex)
 
 
 def sample_flip_set(
@@ -116,9 +141,7 @@ def randomized_decode(
     report.main.ops = state.ops
     report.unsat_trajectory = [state.unsat_count]
     for iteration in range(1, config.max_iters + 1):
-        picked = sample_flip_set(
-            state.buckets, c, lambda v: vertex_draw(config.seed, iteration, v)
-        )
+        picked = sample_flip_set(state.buckets, c, iteration_draw(config.seed, iteration))
         state.apply_flips(picked)
         report.iterations = iteration
         report.unsat_trajectory.append(state.unsat_count)
@@ -132,6 +155,7 @@ __all__ = [
     "RandomizedAbort",
     "RandDecodeConfig",
     "RandDecodeReport",
+    "iteration_draw",
     "vertex_draw",
     "sample_flip_set",
     "randomized_decode",

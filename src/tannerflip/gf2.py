@@ -8,17 +8,35 @@ from typing import Iterable, Iterator
 _DIGITS_OF_BYTES = bytes.maketrans(b"\x00\x01", b"01")
 _BYTES_OF_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_NONZERO_BYTES = bytes([0] + [1] * 255)  # translate table: each byte to 0/1
+_BITS_OF_BYTE = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+# `from_bytes01` packs a 0/1 byte word one 1 at a time when at most
+# 1/_PACK_PER_ONE of its bytes are 1, and through `_pack_digits` otherwise.
+# Finding and packing a 1 costs about 0.3 us and `_pack_digits` about 3 ns a
+# byte (Python 3.11, unscaled), so packing per 1 would stay faster up to about
+# n/100 ones; the lower limit keeps the finds that a dense word wastes before
+# the walk gives up to a few percent of `_pack_digits`.
+_PACK_PER_ONE = 4096
 
 
-def _ones(word: bytes | bytearray) -> list[int]:
+def _ones(word: bytes | bytearray, most: int = -1) -> list[int] | None:
     """The positions of the 1-bytes of a 0/1 byte word, ascending, found
-    with `find`, so the cost is per 1-byte."""
+    with `find`, so the cost is per 1-byte. Given `most` >= 0, None as soon
+    as more than `most` are found."""
     ones = []
     v = word.find(1)
     while v >= 0:
+        if len(ones) == most:
+            return None
         ones.append(v)
         v = word.find(1, v + 1)
     return ones
+
+
+def _pack_digits(word: bytes | bytearray) -> int:
+    """A nonempty 0/1 byte word packed through one `int(s, 2)` over its
+    digits: a few C passes over every byte, whatever the word's weight."""
+    return int(word.translate(_DIGITS_OF_BYTES)[::-1], 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,19 +66,28 @@ class BitVector:
 
     @classmethod
     def from_bytes01(cls, word: bytes | bytearray) -> BitVector:
-        """The vector whose coordinate i is word[i], for a word of 0/1 bytes."""
-        if not word:
-            return cls(0, 0)
-        return cls(len(word), int(word.translate(_DIGITS_OF_BYTES)[::-1], 2))
+        """The vector whose coordinate i is word[i], for a word of 0/1 bytes.
+
+        A word with at most n/_PACK_PER_ONE 1-bytes is packed per 1 (`_ones`,
+        then `from_indices`); the walk gives up at the first 1 past that, and
+        a denser word is packed through `_pack_digits`, which costs the same
+        at every weight."""
+        n = len(word)
+        ones = _ones(word, n // _PACK_PER_ONE)
+        if ones is None:
+            return cls(n, _pack_digits(word))
+        return cls.from_indices(n, ones)
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> BitVector:
-        bits = 0
+        """The vector with 1s at the given coordinates, each ORed into a
+        packed byte map, so the cost is per index plus one `from_bytes`."""
+        packed = bytearray((n + 7) >> 3)
         for i in indices:
             if not 0 <= i < n:
                 raise ValueError(f"index {i} out of range for length {n}")
-            bits |= 1 << i
-        return cls(n, bits)
+            packed[i >> 3] |= 1 << (i & 7)
+        return cls(n, int.from_bytes(packed, "little"))
 
     def bit(self, i: int) -> int:
         return (self.bits >> i) & 1
@@ -74,13 +101,15 @@ class BitVector:
         return (self.bits ^ other.bits).bit_count()
 
     def indices(self) -> list[int]:
-        """Positions of the nonzero coordinates, ascending."""
+        """Positions of the nonzero coordinates, ascending. The packed bytes'
+        nonzero ones are found by one C scan, and each is expanded through
+        a table of its bit positions, so the cost is per 1 beyond that scan."""
+        packed = self.bits.to_bytes((self.n + 7) >> 3, "little")
         out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
+        for k in _ones(packed.translate(_NONZERO_BYTES)):
+            base = k << 3
+            for j in _BITS_OF_BYTE[packed[k]]:
+                out.append(base + j)
         return out
 
     def to_bytes01(self) -> bytes:

@@ -26,7 +26,6 @@ from .decode_det import DecodeFailure, DecoderParams, main_decode
 from .decode_rand import (
     RandDecodeConfig,
     RandDecodeReport,
-    RandomizedAbort,
     _keyed_hash,
     randomized_decode,
 )
@@ -47,15 +46,23 @@ def derive_seed(root: int, *parts: int) -> int:
 DECODERS = ("det", "rand")
 
 
+def _check_budget(decoder: str, max_iters: int | None) -> None:
+    """Only the randomized decoder takes an iteration budget."""
+    if decoder == "det" and max_iters is not None:
+        raise ValueError("max_iters applies only to decoder 'rand'")
+
+
 def decode(
     code: TannerCode, params: DecoderParams, decoder: str, x: BitVector,
     report: RandDecodeReport, seed: int = 0, max_iters: int | None = None,
 ) -> BitVector:
     """Decode x with the named decoder into `report`: "det" runs main_decode
     on `report.main`, "rand" runs randomized_decode with `seed` and the
-    iteration budget `max_iters`. A failure propagates and names itself by
-    its `outcome`. The decoders are read as module globals at each call, so
+    iteration budget `max_iters`; "det" given a budget raises ValueError.
+    A failure propagates as a DecodeFailure and names itself by its
+    `outcome`. The decoders are read as module globals at each call, so
     rebinding them here reaches every sweep and CLI decode."""
+    _check_budget(decoder, max_iters)
     if decoder == "det":
         return main_decode(code, params, x, report=report.main)
     if decoder == "rand":
@@ -79,8 +86,7 @@ class ExperimentConfig:
             raise ValueError("weights must be nonnegative")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be {' or '.join(map(repr, DECODERS))}")
-        if self.decoder == "det" and self.rand_max_iters is not None:
-            raise ValueError("max_iters applies only to decoder 'rand'")
+        _check_budget(self.decoder, self.rand_max_iters)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,7 +162,7 @@ def run_trial(
             seed=derive_seed(trial_seed, 3), max_iters=config.rand_max_iters,
         )
         outcome = "ok" if result == truth else "wrong_codeword"
-    except (RandomizedAbort, DecodeFailure) as exc:
+    except DecodeFailure as exc:
         outcome = exc.outcome
     # stored at CSV precision; timing is diagnostic only, counters are the signal
     wall_ms = round((time.monotonic() - start) * 1000.0, 3)

@@ -140,14 +140,12 @@ class TannerCode:
 
 
 def corrupt(x: BitVector, weight: int, seed: int) -> BitVector:
-    """Flip a uniformly seeded size-`weight` subset of coordinates."""
+    """Flip a uniformly seeded size-`weight` subset of coordinates, packed
+    once, so the cost is per flipped coordinate plus one XOR."""
     if not 0 <= weight <= x.n:
         raise ValueError("weight out of range")
     rng = random.Random(seed)
-    bits = x.bits
-    for i in rng.sample(range(x.n), weight):
-        bits ^= 1 << i
-    return BitVector(x.n, bits)
+    return x ^ BitVector.from_indices(x.n, rng.sample(range(x.n), weight))
 
 
 MANIFEST_TAG = "tanner v1"

@@ -140,6 +140,14 @@ class TestSweep:
             ExperimentConfig(weights=(1,), trials=1, rand_max_iters=3)
         ExperimentConfig(weights=(1,), trials=1, decoder="rand", rand_max_iters=3)
 
+    def test_decode_rejects_det_budget(self, k32_code, k32_params):
+        # the dispatch holds the rule that ExperimentConfig applies
+        x = BitVector.from_text("100")
+        with pytest.raises(ValueError, match="only to decoder 'rand'"):
+            tf.sweep.decode(k32_code, k32_params, "det", x, tf.RandDecodeReport(), max_iters=3)
+        report = tf.RandDecodeReport()
+        assert tf.sweep.decode(k32_code, k32_params, "det", x, report) == BitVector.zeros(3)
+
 
 class TestWorkerCount:
     def test_unset_is_one(self):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tannerflip as tf
+import tannerflip.gf2 as gf2
 from tannerflip.gf2 import BitVector
 from tannerflip.graphs import BipartiteGraph
 from tannerflip.inner import parity_check_code, repetition_code
@@ -872,6 +873,10 @@ class TestClosingCheck:
             return refresh(state, us)
 
         monkeypatch.setattr(TannerCode, "is_codeword", refused)
+        # a sparse word is converted per 1-bit: set-up reads its support, and
+        # the output is packed per 1, not through the per-coordinate digits
+        monkeypatch.setattr(BitVector, "to_bytes01", refused)
+        monkeypatch.setattr(gf2, "_pack_digits", refused)
         monkeypatch.setattr(TannerCode, "read_restriction", counted)
         monkeypatch.setattr(tf.DecodeState, "_refresh", refresh_counted)
         zero = BitVector.zeros(big_code.n)

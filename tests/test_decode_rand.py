@@ -15,6 +15,7 @@ from tannerflip.decode_det import DecodeState
 from tannerflip.decode_rand import (
     RandDecodeConfig,
     RandomizedAbort,
+    iteration_draw,
     randomized_decode,
     sample_flip_set,
     vertex_draw,
@@ -54,6 +55,7 @@ class TestVertexDraw:
             )
             expected = int.from_bytes(h.digest(), "little") / 2**64
             assert vertex_draw(seed, iteration, vertex) == expected
+            assert iteration_draw(seed, iteration)(vertex) == expected
 
     def test_deterministic_and_in_range(self):
         a = vertex_draw(42, 1, 7)
@@ -141,8 +143,11 @@ class TestRandomizedDecode:
             lambda s: all(vertex_draw(s, it, 0) >= 0.5 for it in (1, 2, 3))
         )
         cfg = RandDecodeConfig.for_params(k32_params, seed=seed, max_iters=3)
-        with pytest.raises(RandomizedAbort):
+        with pytest.raises(RandomizedAbort) as info:
             randomized_decode(k32_code, k32_params, cfg, BitVector.from_text("100"))
+        # one failure hierarchy: an abort is a DecodeFailure that names itself
+        assert isinstance(info.value, tf.DecodeFailure)
+        assert info.value.outcome == "abort"
 
     def test_bitwise_reproducible(self, big_code, big_params):
         x = corrupt(BitVector.zeros(big_code.n), 10, seed=42)
@@ -165,7 +170,7 @@ class TestRandomizedDecode:
             cfg = RandDecodeConfig.for_params(big_params, seed=trial)
             try:
                 ok += randomized_decode(big_code, big_params, cfg, x) == truth
-            except (RandomizedAbort, tf.DecodeFailure):
+            except tf.DecodeFailure:
                 pass
         assert ok >= 9
 

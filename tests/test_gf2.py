@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+import tannerflip.gf2 as gf2
 from tannerflip.decode_det import DecodeReport
 from tannerflip.gf2 import BitMatrix, BitVector, add, mat_vec_mul, nullspace_basis, rref
 
@@ -229,8 +230,9 @@ def test_bitvector_basics():
     assert v.distance(BitVector.zeros(5)) == 2
     with pytest.raises(ValueError):
         BitVector(3, 8)
-    with pytest.raises(ValueError):
-        BitVector.from_indices(3, [3])
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=f"index {bad} out of range for length 3"):
+            BitVector.from_indices(3, [0, bad])
     with pytest.raises(ValueError):
         BitVector.from_text("01x")
 
@@ -247,6 +249,65 @@ def test_text_and_byte_word_round_trip(v):
     assert word == bytes(v.bit(i) for i in range(v.n))
     assert BitVector.from_bytes01(word) == v
     assert BitVector.from_bytes01(bytearray(word)) == v
+
+
+def reference_indices(bits: int) -> list[int]:
+    """The big-int walk: peel off the lowest set bit, one at a time."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def reference_pack(indices) -> int:
+    """The big-int pack: OR in one shifted bit per index."""
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
+def conversion_cases():
+    """(n, ascending 1-positions) for lengths around the byte and digit
+    boundaries, at weights 0, 1, sparse, both sides of the per-1 packing
+    limit (which is 2 at n = 9000), about n/2, n-1 and n."""
+    rng = random.Random(21)
+    for n in (0, 1, 7, 8, 9, 63, 64, 65, 2000, 9000):
+        limit = n // gf2._PACK_PER_ONE
+        for weight in sorted({0, 1, n // 200, limit, limit + 1, n // 2, n - 1, n}):
+            if 0 <= weight <= n:
+                yield n, sorted(rng.sample(range(n), weight))
+
+
+def test_conversions_match_big_int_walks(monkeypatch):
+    digit_packs = []
+    pack_digits = gf2._pack_digits
+
+    def counted(word):
+        digit_packs.append(len(word))
+        return pack_digits(word)
+
+    monkeypatch.setattr(gf2, "_pack_digits", counted)
+    sides = set()
+    for n, ones in conversion_cases():
+        bits = reference_pack(ones)
+        v = BitVector(n, bits)
+        assert v.indices() == reference_indices(bits) == ones
+        assert BitVector.from_indices(n, ones) == v
+        assert BitVector.from_indices(n, reversed(ones + ones[:1])) == v
+        word = bytes(bits >> i & 1 for i in range(n))
+        assert v.to_bytes01() == word
+        digit_packs.clear()
+        assert BitVector.from_bytes01(word) == v
+        assert BitVector.from_bytes01(bytearray(word)) == v
+        # at most n/_PACK_PER_ONE 1-bytes are packed one at a time, more
+        # through the digits
+        dense = len(ones) > n // gf2._PACK_PER_ONE
+        assert digit_packs == ([n, n] if dense else [])
+        sides.add(dense)
+    assert sides == {False, True}
 
 
 def test_pickle_round_trip():
