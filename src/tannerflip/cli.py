@@ -21,7 +21,7 @@ from .graphs import (
 )
 from .decode_det import DecodeFailure, derive_params
 from .decode_rand import RandDecodeReport
-from .sweep import DECODERS, ExperimentConfig, UsageError, decode, run_sweep
+from .sweep import DECODERS, DET, RAND, ExperimentConfig, UsageError, decode, run_sweep
 from .tanner import TannerCode, corrupt, load_bundle, load_code, write_bundle
 
 EXIT_OK = 0
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     _add_word_args(p)
     _add_param_args(p)
-    p.set_defaults(func=cmd_decode, decoder="det", seed=0, max_iters=None)
+    p.set_defaults(func=cmd_decode, decoder=DET, seed=0, max_iters=None)
 
     p = sub.add_parser("decode-rand", help="randomized decode")
     _add_code_args(p)
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=None)
-    p.set_defaults(func=cmd_decode, decoder="rand")
+    p.set_defaults(func=cmd_decode, decoder=RAND)
 
     p = sub.add_parser("params", help="derive the decoding schedule")
     p.add_argument("--c", type=int, required=True)
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_args(p)
     p.add_argument("--weights", required=True, help="comma-separated error weights")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--decoder", choices=DECODERS, default="det")
+    p.add_argument("--decoder", choices=DECODERS, default=DET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--out", help="CSV output path")

@@ -13,20 +13,20 @@ the inner decoder. The search flips buckets through
 because it is the one-round step that the lexicographic scan oracle
 (`deep_flip` in the tests) and the voting tests drive.
 
-The state keeps each constraint's inner syndrome up to date by XOR: flipping
-a variable XORs one column syndrome of the inner code into each adjacent
-constraint's syndrome, and one batched loop then refreshes those
-constraints, each vote decided by one lookup, with the vote moves inline.
+The state keeps each constraint's inner syndrome up to date by XOR: a flip
+walks each flipped variable's edges once, XORing one column syndrome of the
+inner code into each adjacent constraint's syndrome and moving that
+constraint's vote in the same step, each vote decided by one lookup.
 The state's maps hold only live entries, so a decode allocates nothing per
 coordinate beyond its word.
-Set-up is the same update applied to the received word's support, read
-from its packed bits (`BitVector.indices`): only the constraints next to its
-1-coordinates are refreshed, and every other constraint passes by linearity.
-Set-up is charged one check and one inner decode per constraint. The output
-is packed from the word's final 1-positions (`BitVector.from_bytes01`, per 1
-on a sparse word), so a decode converts its word per 1-bit, not per
-coordinate. No decode makes a whole-word pass: all state updates are
-incremental, so flipping a variable refreshes only the adjacent constraints,
+Set-up XORs the received word's support, read from its packed bits
+(`BitVector.indices`), into the syndromes, then builds the votes and buckets
+from the failing constraints alone: every other constraint passes by
+linearity. Set-up is charged one check and one inner decode per
+constraint. The output is packed from the word's final 1-positions
+(`BitVector.from_bytes01`, per 1 on a sparse word), so a decode converts its
+word per 1-bit, not per coordinate. No decode makes a whole-word pass: all state updates are
+incremental, so flipping a variable updates only the adjacent constraints,
 and the closing membership check (`TannerCode.failing_constraints` on the
 output word) reads only the constraints next to the output's 1-coordinates.
 The search walk runs each chain of empty-bucket (no-op) levels as one
@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -216,24 +217,31 @@ class DecodeState:
     coordinate. A flip is undone by flipping the same variables again, which
     is how the search backs out of a branch.
 
-    Flipping v XORs the syndrome of the unit vector at v's slot in u's
+    A flip walks each flipped variable's edges once. On the edge from v to
+    u it XORs the syndrome of the unit vector at v's slot in u's
     neighborhood (read from the graph's per-edge `slots` table) into u's
-    syndrome, for each constraint u next to v; then `_refresh` brings the
-    dirty constraints' entries up to date in one loop, each vote decided by
-    one lookup in the inner code's `vote_slots` map. No restriction is read.
-    Every entry is a function of its constraint's syndrome alone and the
-    counts are sums, so the end state does not depend on the order in which
-    the dirty constraints are refreshed.
+    syndrome, and moves u's vote right there: the inner code's `vote_slots`
+    map gives the slot u votes for from a syndrome in one lookup, before
+    and after the XOR, and only a change of slot moves a vote count. No
+    restriction is read. Each count is a sum of votes and each vote a
+    function of its constraint's syndrome alone, so a constraint next to
+    several flipped variables passes through intermediate votes, and the
+    end state does not depend on the order of the edges. Each variable
+    whose count changed then moves between buckets once. A flip is charged
+    one check and one inner decode per distinct constraint next to the
+    flipped variables.
 
-    Set-up is the same update applied to supp(x), from the zero word's state,
-    which is the initial one: every syndrome 0, so every constraint passes
-    and sends no vote, and every map is empty. Set-up therefore refreshes
-    only the constraints next to the 1-coordinates of x, at most c * |x| of
-    them, and never makes a whole-word pass. It charges no flips. It is
-    still charged one check and one inner decode per constraint: it decides
-    every constraint's entry, those away from the support by linearity, and
-    the flat charge keeps a report a function of the syndrome alone
-    (decoding truth + e and e give equal reports).
+    Set-up is built from the syndromes. The zero word's state is the
+    initial one: every syndrome 0, so every constraint passes and sends no
+    vote, and every map is empty. Set-up XORs the column syndromes of
+    supp(x) into `_syn`, so only the constraints next to the 1-coordinates
+    of x get an entry, at most c * |x| of them; it then sets one target per
+    failing constraint, counts the votes in one pass and fills the buckets
+    from the counts. It never makes a whole-word pass and charges no
+    flips. It is still charged one check and one inner decode per
+    constraint: it decides every constraint's entry, those away from the
+    support by linearity, and the flat charge keeps a report a function of
+    the syndrome alone (decoding truth + e and e give equal reports).
     """
 
     def __init__(self, code: TannerCode, params: DecoderParams, x: BitVector) -> None:
@@ -245,23 +253,35 @@ class DecodeState:
             raise ValueError(f"params were derived for another code than (c, d, d0, n) = {shape}")
         self.code = code
         self.params = params
-        self._c = graph.c
-        self._left_adj = graph.left_adj
-        self._right_adj = graph.right_adj
-        self._slots = graph.slots
-        self._column_syndromes = code.inner.column_syndromes
-        self._vote_slots = code.inner.vote_slots(params.t)
+        self._c = c = graph.c
+        self._left_adj = left_adj = graph.left_adj
+        self._right_adj = right_adj = graph.right_adj
+        self._slots = slots = graph.slots
+        self._column_syndromes = columns = code.inner.column_syndromes
+        self._vote_slots = vote_slots = code.inner.vote_slots(params.t)
         ones = x.indices()
         self.x = word = bytearray(x.n)
+        self._syn = syn = {}
         for v in ones:
             word[v] = 1
-        self._syn: dict[int, int] = {}
-        self.targets: dict[int, int] = {}
-        self.votes: dict[int, int] = {}
-        self.buckets: list[set[int]] = [set() for _ in range(graph.c + 1)]
-        self.ops = OpCounters()
-        self._refresh(self._flip_syndromes(ones))
-        self.ops.checks = self.ops.inner_decodes = graph.n_right
+            edge = v * c
+            for u in left_adj[v]:
+                s = syn.get(u, 0) ^ columns[slots[edge]]
+                edge += 1
+                if s:
+                    syn[u] = s
+                else:  # columns are nonzero (d0 > 1), so u had an entry
+                    del syn[u]
+        self.targets = targets = {}
+        for u, s in syn.items():
+            slot = vote_slots.get(s)
+            if slot is not None:
+                targets[u] = right_adj[u][slot]
+        self.votes = votes = dict(Counter(targets.values()))
+        self.buckets = buckets = [set() for _ in range(c + 1)]
+        for v, m in votes.items():
+            buckets[m].add(v)
+        self.ops = OpCounters(checks=graph.n_right, inner_decodes=graph.n_right)
 
     @property
     def unsat(self):
@@ -275,56 +295,52 @@ class DecodeState:
     def x_vector(self) -> BitVector:
         return BitVector.from_bytes01(self.x)
 
-    def _flip_syndromes(self, vs) -> set[int]:
-        """XOR the flip of each variable in vs into the syndromes of the
-        constraints next to it; returns those constraints."""
+    def _flip(self, vs) -> None:
+        """Flip the syndromes and votes of the constraints next to each
+        variable in vs, one pass over their edges, charging one check and
+        one inner decode per distinct constraint; then move each variable
+        whose count changed between buckets once."""
         left_adj, slots, c = self._left_adj, self._slots, self._c
-        syn, columns = self._syn, self._column_syndromes
+        syn, columns, vote_slots = self._syn, self._column_syndromes, self._vote_slots
+        right_adj, targets, votes = self._right_adj, self.targets, self.votes
         dirty: set[int] = set()
+        before: dict[int, int] = {}  # count of each variable touched, on entry
         for v in vs:
             adj = left_adj[v]
             edge = v * c
             for u in adj:
-                s = syn.get(u, 0) ^ columns[slots[edge]]
+                s = syn.get(u, 0)
+                was = vote_slots.get(s)  # the slot u voted for, or None
+                s ^= columns[slots[edge]]
                 edge += 1
                 if s:
                     syn[u] = s
                 else:  # columns are nonzero (d0 > 1), so u had an entry
                     del syn[u]
-            dirty.update(adj)
-        return dirty
-
-    def _refresh(self, us) -> None:
-        """Bring the entries of the constraints us in the invariant up to
-        date with their syndromes, counting one check and one inner decode
-        each. Vote counts move inline; each variable whose count changed
-        then moves between buckets once."""
-        ops = self.ops
-        ops.checks += len(us)
-        ops.inner_decodes += len(us)
-        syn, vote_slots = self._syn, self._vote_slots
-        right_adj, targets, votes = self._right_adj, self.targets, self.votes
-        before: dict[int, int] = {}  # count of each variable touched, on entry
-        for u in us:
-            slot = vote_slots.get(syn.get(u, 0))
-            new = -1 if slot is None else right_adj[u][slot]
-            old = targets.get(u, -1)
-            if new == old:
-                continue
-            if old >= 0:
-                m = votes[old]
-                before.setdefault(old, m)
-                if m == 1:
-                    del votes[old]
+                slot = vote_slots.get(s)
+                if slot == was:
+                    continue
+                if was is not None:
+                    w = right_adj[u][was]
+                    m = votes[w]
+                    if w not in before:
+                        before[w] = m
+                    if m == 1:
+                        del votes[w]
+                    else:
+                        votes[w] = m - 1
+                if slot is None:
+                    del targets[u]
                 else:
-                    votes[old] = m - 1
-            if new >= 0:
-                m = votes.get(new, 0)
-                before.setdefault(new, m)
-                votes[new] = m + 1
-                targets[u] = new
-            else:
-                del targets[u]
+                    w = targets[u] = right_adj[u][slot]
+                    m = votes.get(w, 0)
+                    if w not in before:
+                        before[w] = m
+                    votes[w] = m + 1
+            dirty.update(adj)
+        ops = self.ops
+        ops.checks += len(dirty)
+        ops.inner_decodes += len(dirty)
         buckets = self.buckets
         for v, m in before.items():
             k = votes.get(v, 0)
@@ -335,7 +351,8 @@ class DecodeState:
                     buckets[k].add(v)
 
     def apply_flips(self, vs) -> list[int]:
-        """Flip the given variables and refresh the adjacent constraints."""
+        """Flip the given variables and bring the adjacent constraints up
+        to date."""
         flipped = sorted(vs)
         if not flipped:
             return flipped
@@ -343,7 +360,7 @@ class DecodeState:
         for v in flipped:
             x[v] ^= 1
         self.ops.flips += len(flipped)
-        self._refresh(self._flip_syndromes(flipped))
+        self._flip(flipped)
         return flipped
 
 
@@ -550,13 +567,19 @@ def main_decode(
 
 def _final_inner_pass(state: DecodeState) -> None:
     """Rewrite each still-unsatisfied restriction with its decoded codeword,
-    refreshing u first: one check and one inner decode, no state change."""
+    in ascending order of constraint. The state keeps every syndrome current,
+    so the coset leader is one lookup of u's syndrome; each constraint taken
+    is charged one check and one inner decode, and one with no leader within
+    the inner radius is left as it is."""
     table = state.code.inner.syndrome_table
+    ops = state.ops
     for u in sorted(state.unsat):
-        if u not in state.unsat:
+        syndrome = state._syn.get(u)
+        if syndrome is None:  # an earlier rewrite repaired u
             continue
-        state._refresh((u,))
-        leader = table.get(state._syn[u])
+        ops.checks += 1
+        ops.inner_decodes += 1
+        leader = table.get(syndrome)
         if not leader:
             continue
         coords = state._right_adj[u]

@@ -44,11 +44,12 @@ def derive_seed(root: int, *parts: int) -> int:
 
 # The decoders `decode` dispatches on, by name
 DECODERS = ("det", "rand")
+DET, RAND = DECODERS
 
 
 def _check_budget(decoder: str, max_iters: int | None) -> None:
     """Only the randomized decoder takes an iteration budget."""
-    if decoder == "det" and max_iters is not None:
+    if decoder == DET and max_iters is not None:
         raise ValueError("max_iters applies only to decoder 'rand'")
 
 
@@ -63,9 +64,9 @@ def decode(
     `outcome`. The decoders are read as module globals at each call, so
     rebinding them here reaches every sweep and CLI decode."""
     _check_budget(decoder, max_iters)
-    if decoder == "det":
+    if decoder == DET:
         return main_decode(code, params, x, report=report.main)
-    if decoder == "rand":
+    if decoder == RAND:
         config = RandDecodeConfig.for_params(params, seed=seed, max_iters=max_iters)
         return randomized_decode(code, params, config, x, report=report)
     raise ValueError(f"unknown decoder {decoder!r}")
@@ -75,7 +76,7 @@ def decode(
 class ExperimentConfig:
     weights: tuple[int, ...]
     trials: int
-    decoder: str = "det"  # one of DECODERS
+    decoder: str = DET  # one of DECODERS
     seed: int = 0
     rand_max_iters: int | None = None
 

@@ -9,6 +9,7 @@ import random
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from conftest import (
     ext_hamming_inner,
     reference_bounds,
     reference_syndromes,
+    reference_votes,
     scan_small_code,
     wide_small_code,
 )
@@ -137,17 +139,25 @@ class TestReachTable:
         assert len(pickle.dumps(big_params)) < 10_000
 
 
-def reference_setup(code: TannerCode, params, x: BitVector) -> tf.DecodeState:
-    """The set-up as one refresh per constraint, ascending, after reading
-    every constraint's syndrome from the word. It starts from a state over
-    the zero word, a codeword whose bookkeeping is the initial one."""
-    st = tf.DecodeState(code, params, BitVector.zeros(code.n))
-    st.x[:] = x.to_bytes01()
-    st._syn.update((u, s) for u, s in enumerate(reference_syndromes(code, st.x)) if s)
-    st.ops = tf.OpCounters()
-    for u in range(code.graph.n_right):
-        st._refresh((u,))
-    return st
+def reference_setup(code: TannerCode, params, x: BitVector) -> SimpleNamespace:
+    """The set-up from definitions, as the fields of a state: every
+    constraint's syndrome read from the word, every vote decided by
+    `decode_bounded` on its restriction, and one check and one inner decode
+    charged per constraint."""
+    syndromes = reference_syndromes(code, x.to_bytes01())
+    unsat, targets, votes = reference_votes(code, params, x)
+    buckets = [set() for _ in range(code.graph.c + 1)]
+    for v, m in votes.items():
+        buckets[m].add(v)
+    n_right = code.graph.n_right
+    return SimpleNamespace(
+        _syn={u: s for u, s in enumerate(syndromes) if s},
+        unsat=unsat,
+        targets=targets,
+        votes=dict(votes),
+        buckets=buckets,
+        ops=tf.OpCounters(checks=n_right, inner_decodes=n_right),
+    )
 
 
 class TestDecodeState:
@@ -203,6 +213,42 @@ class TestDecodeState:
             assert st.buckets == ref.buckets
             assert st.ops == ref.ops
             assert_no_dead_entries(st)
+
+    def test_constraint_visited_twice_in_one_pass(self, big_code, big_params, dim3_code):
+        # a flip walks each variable's edges once, so a constraint next to
+        # two flipped variables is met twice in one pass: two coordinates
+        # of one restriction, a bucket plus a neighbour of one of its
+        # variables, and each set flipped again
+        rng = random.Random(22)
+        for code, params in ((big_code, big_params), dim3_code, wide_small_code()):
+            graph = code.graph
+
+            def flip(st, vs):
+                touched = {u for v in vs for u in graph.left_adj[v]}
+                assert len(touched) < graph.c * len(vs)  # some constraint twice
+                ops = st.ops.copy()
+                st.apply_flips(vs)
+                assert_state_consistent(st, code, params)
+                assert_no_dead_entries(st)
+                assert st.ops.checks - ops.checks == len(touched)
+                assert st.ops.inner_decodes - ops.inner_decodes == len(touched)
+
+            sparse = corrupt(BitVector.zeros(code.n), 3, seed=graph.c)
+            dense = BitVector(code.n, rng.getrandbits(code.n))
+            for x in (sparse, dense):
+                st = tf.DecodeState(code, params, x)
+                word = bytes(st.x)
+                pair = graph.right_adj[rng.randrange(graph.n_right)][:2]
+                flip(st, pair)
+                flip(st, pair)
+                assert bytes(st.x) == word
+                v = next(v for v in range(code.n) if st.votes.get(v))
+                bucket = set(st.buckets[st.votes[v]])
+                near = {w for u in graph.left_adj[v] for w in graph.right_adj[u]}
+                vs = bucket | {min(near - bucket)}
+                flip(st, vs)
+                flip(st, vs)
+                assert bytes(st.x) == word
 
     def test_setup_keeps_a_failing_constraint_beyond_the_radius(
         self, big_code, big_params
@@ -861,16 +907,26 @@ class TestClosingCheck:
         def refused(*args):
             raise AssertionError("decoders must not make a whole-word pass")
 
-        reads, refreshed = [], []
-        read, refresh = TannerCode.read_restriction, tf.DecodeState._refresh
+        reads, left_reads, right_reads = [], [], []
+        read = TannerCode.read_restriction
+        graph = big_code.graph
+        left_adj = graph.left_adj
 
         def counted(code, word, u):
             reads.append(u)
             return read(code, word, u)
 
-        def refresh_counted(state, us):
-            refreshed.extend(us)
-            return refresh(state, us)
+        class Recorded(tuple):
+            """An adjacency table that records each index it is read at."""
+
+            def __new__(cls, table, log):
+                self = super().__new__(cls, table)
+                self.log = log
+                return self
+
+            def __getitem__(self, i):
+                self.log.append(i)
+                return super().__getitem__(i)
 
         monkeypatch.setattr(TannerCode, "is_codeword", refused)
         # a sparse word is converted per 1-bit: set-up reads its support, and
@@ -878,19 +934,28 @@ class TestClosingCheck:
         monkeypatch.setattr(BitVector, "to_bytes01", refused)
         monkeypatch.setattr(gf2, "_pack_digits", refused)
         monkeypatch.setattr(TannerCode, "read_restriction", counted)
-        monkeypatch.setattr(tf.DecodeState, "_refresh", refresh_counted)
+        monkeypatch.setattr(graph, "left_adj", Recorded(left_adj, left_reads))
+        monkeypatch.setattr(graph, "right_adj", Recorded(graph.right_adj, right_reads))
         zero = BitVector.zeros(big_code.n)
-        c = big_code.graph.c
+        c = graph.c
         for weight, seed in ((0, 1), (1, 2), (3, 9), (30, 9), (300, 4)):
             x = corrupt(zero, weight, seed)
+            support = {u for v in x.indices() for u in left_adj[v]}
             reads.clear()
-            refreshed.clear()
+            left_reads.clear()
+            right_reads.clear()
             state = tf.DecodeState(big_code, big_params, x)
             assert reads == []
-            support = {u for v in x.indices() for u in big_code.graph.left_adj[v]}
-            # each constraint next to the support once, in no set order
-            assert sorted(refreshed) == sorted(support) and len(refreshed) <= c * weight
-            assert state.ops.checks == state.ops.inner_decodes == big_code.graph.n_right
+            # set-up walks the edges of each 1-coordinate once, so it
+            # reaches exactly the constraints next to the support
+            assert sorted(left_reads) == x.indices()
+            assert {u for v in left_reads for u in left_adj[v]} == support
+            # and reads the neighborhood of a constraint only to place its
+            # vote: once per voting constraint, all of them next to the support
+            assert sorted(right_reads) == sorted(state.targets)
+            assert set(right_reads) <= support and len(right_reads) <= c * weight
+            assert state.unsat <= support
+            assert state.ops.checks == state.ops.inner_decodes == graph.n_right
         # a decode to zero reads no restriction, the closing check included
         reads.clear()
         assert tf.main_decode(big_code, big_params, corrupt(zero, 3, seed=9)) == zero

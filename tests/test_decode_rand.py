@@ -285,22 +285,25 @@ class TestHandOff:
     def test_checks_equal_examined_work(
         self, big_code, big_params, monkeypatch, weight, seed, handed_off
     ):
+        # set-up is charged n_right checks; after it, a flip examines each
+        # constraint next to the flipped variables once, and the final pass
+        # decodes each constraint it takes by one syndrome-table lookup
         examined = [0]
-        in_setup = [False]
-        setup, refresh = DecodeState.__init__, DecodeState._refresh
+        apply, left_adj = DecodeState.apply_flips, big_code.graph.left_adj
 
-        def init(state, *args):
-            in_setup[0] = True  # set-up is charged n_right checks instead
-            setup(state, *args)
-            in_setup[0] = False
+        def counted(state, vs):
+            flipped = apply(state, vs)
+            examined[0] += len({u for v in flipped for u in left_adj[v]})
+            return flipped
 
-        def counted(state, us):
-            if not in_setup[0]:
-                examined[0] += len(us)
-            return refresh(state, us)
+        class Lookups(dict):
+            def get(self, syndrome, default=None):
+                examined[0] += 1
+                return super().get(syndrome, default)
 
-        monkeypatch.setattr(DecodeState, "__init__", init)
-        monkeypatch.setattr(DecodeState, "_refresh", counted)
+        monkeypatch.setattr(DecodeState, "apply_flips", counted)
+        inner = big_code.inner
+        monkeypatch.setattr(inner, "syndrome_table", Lookups(inner.syndrome_table))
         report = tf.RandDecodeReport()
         word = rand_decode_big(big_code, big_params, weight, seed, report)
         assert report.handed_off == handed_off == (word is not None)
