@@ -30,8 +30,8 @@ incremental, so flipping a variable updates only the adjacent constraints,
 and the closing membership check (`TannerCode.failing_constraints` on the
 output word) reads only the constraints next to the output's 1-coordinates.
 The search walk runs each chain of empty-bucket (no-op) levels as one
-generator, so a search call costs its real bucket flips plus O(c) per chain,
-rather than one step per level of the s0-deep sequence tree. Operation
+generator, so it flips no bucket for a no-op level; `hard_search` says where
+a call can still cost more than its real bucket flips. Operation
 counters record every check, inner decode, bit flip and search node of the
 decoding for the cost-contract tests; the closing check is not counted, and
 reads at most c * |output| constraints.
@@ -96,23 +96,21 @@ class DecoderParams:
     def prune_bounds(self) -> tuple[int, ...]:
         """The search's pruning schedule as a reach table over integer counts.
 
-        The bound after step k is b_k, by the recurrence b_0 = c*gamma*n,
-        b_(k+1) = b_k * (1.0 - eps3); a `pow` for (1-eps3)^k differs from it
-        in the last place, and the pinned walks prune on the recurrence. The
-        search only asks, for an integer count u, for the largest k <= s0
-        with u <= b_k: entry u, for 0 <= u <= b_0, holds it, and a count past
-        the table meets no bound. One pass over the recurrence places the u
-        in descending order and keeps no float, so the table holds about
-        c*gamma*n + 1 ints (42 at n = 2000, where s0 = 67,607)."""
-        shrink = 1.0 - self.eps3
-        bound = self.c * self.gamma * self.n
-        table = [self.s0] * (math.floor(bound) + 1)
-        u = len(table) - 1  # every u above the current u is placed
-        for k in range(self.s0):
-            bound *= shrink  # b_(k+1)
-            while u > bound:
-                table[u] = k
-                u -= 1
+        Entry u, for 0 <= u <= b_0, is the largest k <= s0 with u <= b_k =
+        c*gamma*n * (1-eps3)^k, the paper's bound after step k; a count past
+        the table meets no bound. Each entry is read off the logarithm, then
+        stepped by one while the float b_k says so, so the table costs
+        O(c*gamma*n), not O(s0): 42 entries at n = 2000, where s0 = 67,607."""
+        s0, shrink = self.s0, 1.0 - self.eps3
+        top = self.c * self.gamma * self.n
+        table = [s0]
+        for u in range(1, math.floor(top) + 1):
+            k = min(s0, math.floor(math.log(u / top) / math.log(shrink)))
+            while k < s0 and u <= top * shrink ** (k + 1):
+                k += 1
+            while u > top * shrink**k:  # b_0 = top >= u stops it
+                k -= 1
+            table.append(k)
         return tuple(table)
 
 
@@ -405,9 +403,11 @@ def hard_search(state: DecodeState) -> None:
     generators are dropped. The main loop keeps a stack of these generators,
     so no recursion is involved.
 
-    Each call thus costs its real bucket flips plus O(c) per chain,
-    not one step per level of [c]^s0; the generators add no flip or node
-    that these shortcuts do not call for. `ops.nodes` counts the levels the
+    The generators add no flip or node that these shortcuts do not call
+    for, yet a call can cost more than its real bucket flips plus O(c) per
+    chain: a passing digit before e is explored again at every chain level
+    where it still passes, and the down loop steps one level at a time, the
+    one O(s0) risk left (ROADMAP item 4). `ops.nodes` counts the levels the
     walk stands on to try digits, plus each leaf decided. Raises
     NoAcceptableBranch when the scan exhausts, every flip undone.
     """

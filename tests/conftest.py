@@ -120,13 +120,12 @@ def reference_syndromes(code: tf.TannerCode, word) -> list[int]:
 
 
 def reference_bounds(params, steps: int | None = None) -> list[float]:
-    """The pruning bounds b_0 = c*gamma*n, b_(k+1) = b_k * (1.0 - eps3) for
-    k = 0..steps (default s0), by the recurrence the search prunes on; the
-    reference for DecoderParams.prune_bounds' reach table."""
-    bounds = [params.c * params.gamma * params.n]
-    for _ in range(params.s0 if steps is None else steps):
-        bounds.append(bounds[-1] * (1.0 - params.eps3))
-    return bounds
+    """The pruning bounds b_k = c*gamma*n * (1 - eps3)^k for k = 0..steps
+    (default s0), by the paper's formula in floats; the reference for
+    DecoderParams.prune_bounds' reach table."""
+    top = params.c * params.gamma * params.n
+    steps = params.s0 if steps is None else steps
+    return [top * (1.0 - params.eps3) ** k for k in range(steps + 1)]
 
 
 def assert_no_dead_entries(state: tf.DecodeState):

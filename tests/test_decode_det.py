@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import time
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
@@ -108,18 +109,39 @@ def assert_reach_exact(params: tf.DecoderParams) -> None:
         assert (table[u] if u < len(table) else -1) == expected, u
 
 
+def two_overlapping_blocks_8_2_5() -> tf.InnerCode:
+    """[8,2,5] code spanned by 11111000 and 00011111 (coordinates 0-4 and
+    3-7), its checks the kernel of that generator."""
+    g = gf2.BitMatrix.from_rows([[1] * 5 + [0] * 3, [0] * 3 + [1] * 5])
+    kernel = gf2.nullspace_basis(g)
+    h = gf2.BitMatrix(len(kernel), 8, tuple(v.bits for v in kernel))
+    return tf.InnerCode.from_parity_check(h)
+
+
 class TestReachTable:
     @pytest.mark.parametrize("n", [800, 2000, 32000])
     def test_bench_params(self, n):
         assert_reach_exact(tf.derive_params(12, 8, 0.02, 0.8, 4, n))
 
-    def test_recurrence_not_pow(self, k32_params):
-        # b_3 is exactly 2.0 by the recurrence and just below it by pow
+    def test_formula_not_recurrence(self, k32_params):
+        # b_3 is exactly 2.0 by the recurrence b_(k+1) = b_k * (1 - eps3)
+        # and just below it by the formula, which the table follows
         params = dataclasses.replace(
             k32_params, s0=3, eps3=0.3, gamma=0.9718172983479106
         )
         assert_reach_exact(params)
-        assert params.prune_bounds[2] == 3
+        assert params.prune_bounds[2] == 2
+
+    def test_log_estimate_stepped_up(self, k32_params):
+        # b_1 = 57.333... * 0.75 is exactly 43.0, but the logarithm puts
+        # u = 43 just short of step 1
+        params = dataclasses.replace(
+            k32_params, c=1, n=1, gamma=57.33333333333333, eps3=0.25, s0=60
+        )
+        assert reference_bounds(params, 1)[1] == 43.0
+        assert math.floor(math.log(43 / params.gamma) / math.log(0.75)) == 0
+        assert_reach_exact(params)
+        assert params.prune_bounds[43] == 1
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -137,6 +159,31 @@ class TestReachTable:
     def test_params_pickle_small(self, big_params):
         assert len(big_params.prune_bounds) == 42
         assert len(pickle.dumps(big_params)) < 10_000
+
+    @pytest.mark.parametrize(
+        "delta, inner",
+        [(0.5001, two_overlapping_blocks_8_2_5), (0.3335, lambda: repetition_code(8))],
+        ids=["8-2-5", "rep8"],
+    )
+    def test_huge_s0(self, big_code, delta, inner):
+        # delta just above 1/t drives s0 past 10^15: the table costs per
+        # entry, and a decode that reaches the search returns at once
+        code = TannerCode(big_code.graph, inner())
+        params = tf.derive_params(12, 8, 0.02, delta, code.inner.d0, 2000)
+        assert params.s0 > 10**15
+        start = time.perf_counter()
+        table = params.prune_bounds
+        assert time.perf_counter() - start < 1.0
+        # entry u is the largest k <= s0 with u <= b_k, checked at k and k + 1
+        top, shrink = params.c * params.gamma * params.n, 1.0 - params.eps3
+        for u, k in enumerate(table):
+            assert u <= top * shrink**k, u
+            assert k == params.s0 or u > top * shrink ** (k + 1), u
+        zero = BitVector.zeros(code.n)
+        for weight in (1, 3):
+            report = tf.DecodeReport()
+            out = tf.main_decode(code, params, corrupt(zero, weight, seed=1), report=report)
+            assert out == zero and report.rounds_used >= 1
 
 
 def reference_setup(code: TannerCode, params, x: BitVector) -> SimpleNamespace:
@@ -348,7 +395,7 @@ def deep_flip(state: tf.DecodeState, seq) -> bool:
     Returns False (pruned) as soon as the unsatisfied count exceeds the
     reference bound b_k after step k, True if the whole sequence ran; this
     is the pruning hard_search applies through its reach table. Steps beyond
-    s0 continue the recurrence. The state keeps the branch-end word either
+    s0 continue the formula. The state keeps the branch-end word either
     way; callers rewind by flipping back where it differs from the input.
     """
     bounds = reference_bounds(state.params, len(seq))
@@ -376,16 +423,18 @@ class TestDeepFlip:
         assert st.x_vector().to_text() == "111"
 
     def test_prunes_on_the_walks_bounds(self, k32_code, k32_params):
-        # the recurrence's b_3 is exactly 2.0 here, while (1-eps3)^3 *
-        # c*gamma*n rounds to just below it: deep_flip must use the former
+        # the recurrence's b_3 is exactly 2.0 here, while the formula's
+        # (1-eps3)^3 * c*gamma*n rounds to just below it: deep_flip must use
+        # the latter, as the reach table does
         params = dataclasses.replace(
             k32_params, s0=3, eps3=0.3, gamma=0.9718172983479106
         )
-        assert reference_bounds(params)[3] == 2.0
+        assert reference_bounds(params)[3] < 2.0
         st = tf.DecodeState(k32_code, params, BitVector.from_text("100"))
         assert st.unsat_count == 2 and not st.buckets[1]
-        assert deep_flip(st, [1, 1, 1]) is True
-        # a step beyond s0 continues the recurrence, to 1.4
+        assert deep_flip(st, [1, 1]) is True
+        assert deep_flip(st, [1, 1, 1]) is False
+        # a step beyond s0 continues the formula, to 1.4
         assert deep_flip(st, [1, 1, 1, 1]) is False
 
     def test_restoration_exact(self, big_code, big_params):
