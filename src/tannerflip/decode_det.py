@@ -13,20 +13,20 @@ the inner decoder. The search flips buckets through
 because it is the one-round step that the lexicographic scan oracle
 (`deep_flip` in the tests) and the voting tests drive.
 
-The state keeps each constraint's inner syndrome up to date by XOR: a flip
-walks each flipped variable's edges once, XORing one column syndrome of the
-inner code into each adjacent constraint's syndrome and moving that
-constraint's vote in the same step, each vote decided by one lookup.
-The state's maps hold only live entries, so a decode allocates nothing per
-coordinate beyond its word.
-Set-up XORs the received word's support, read from its packed bits
-(`BitVector.indices`), into the syndromes, then builds the votes and buckets
-from the failing constraints alone: every other constraint passes by
-linearity. Set-up is charged one check and one inner decode per
-constraint. The output is packed from the word's final 1-positions
-(`BitVector.from_bytes01`, per 1 on a sparse word), so a decode converts its
-word per 1-bit, not per coordinate. No decode makes a whole-word pass: all state updates are
-incremental, so flipping a variable updates only the adjacent constraints,
+The state is the word and each failing constraint's inner syndrome, kept
+up to date by XOR: a flip walks each flipped variable's edges once, XORing
+one column syndrome of the inner code into each adjacent constraint's
+syndrome. A vote is a function of its constraint's syndrome alone, so the
+votes and buckets are not stored: they are read off the failing syndromes,
+one lookup each, when a decoder asks for them. The syndrome map holds only
+nonzero entries, so a decode allocates nothing per coordinate beyond its
+word. Set-up is the flip of the received word's support, read from its
+packed bits (`BitVector.indices`), from the zero word: every constraint away
+from the support passes by linearity. Set-up is charged one check and one
+inner decode per constraint. The output is packed from the word's final
+1-positions (`BitVector.from_bytes01`, per 1 on a sparse word), so a decode
+converts its word per 1-bit, not per coordinate. No decode makes a
+whole-word pass: flipping a variable updates only the adjacent constraints,
 and the closing membership check (`TannerCode.failing_constraints` on the
 output word) reads only the constraints next to the output's 1-coordinates.
 The search walk runs each chain of empty-bucket (no-op) levels as one
@@ -203,43 +203,38 @@ class OpCounters:
 class DecodeState:
     """Mutable decoding state over an immutable code.
 
-    Invariant at every operation boundary, with every map holding only live
-    entries: `_syn` maps each constraint whose restriction of the current
-    word has a nonzero inner syndrome to that syndrome, so `unsat`, its key
-    view, is exactly the set of failing constraints; `targets` maps each
-    constraint that sends a vote to the variable it votes for; `votes` maps
-    each variable with at least one vote to its count; and `buckets[m]`
-    holds the variables with exactly m votes (`buckets[0]` stays empty). A
-    constraint or variable absent from a map has syndrome 0, sends no vote
-    or holds no vote, so a state costs memory per live entry, not per
-    coordinate. A flip is undone by flipping the same variables again, which
-    is how the search backs out of a branch.
+    The state is the word and its syndromes. Invariant at every operation
+    boundary: `x` holds the current word as 0/1 bytes, and `_syn` maps each
+    constraint whose restriction of `x` has a nonzero inner syndrome to that
+    syndrome, so `unsat`, its key view, is exactly the set of failing
+    constraints. A constraint absent from `_syn` has syndrome 0, so a state
+    costs memory per failing constraint, not per coordinate. A flip is
+    undone by flipping the same variables again, which is how the search
+    backs out of a branch.
 
-    A flip walks each flipped variable's edges once. On the edge from v to
-    u it XORs the syndrome of the unit vector at v's slot in u's
-    neighborhood (read from the graph's per-edge `slots` table) into u's
-    syndrome, and moves u's vote right there: the inner code's `vote_slots`
-    map gives the slot u votes for from a syndrome in one lookup, before
-    and after the XOR, and only a change of slot moves a vote count. No
-    restriction is read. Each count is a sum of votes and each vote a
-    function of its constraint's syndrome alone, so a constraint next to
-    several flipped variables passes through intermediate votes, and the
-    end state does not depend on the order of the edges. Each variable
-    whose count changed then moves between buckets once. A flip is charged
-    one check and one inner decode per distinct constraint next to the
-    flipped variables.
+    The votes are read off the syndromes, since each is a function of its
+    constraint's syndrome alone: `targets` maps each constraint that sends a
+    vote to the variable it votes for, `votes` maps each variable with at
+    least one vote to its count, and `buckets[m]` holds the variables with
+    exactly m votes (`buckets[0]` stays empty). Each is computed afresh on
+    every read, one `vote_slots` lookup per failing constraint, so nothing
+    is kept in step with a flip; a caller reads each once per word.
 
-    Set-up is built from the syndromes. The zero word's state is the
-    initial one: every syndrome 0, so every constraint passes and sends no
-    vote, and every map is empty. Set-up XORs the column syndromes of
-    supp(x) into `_syn`, so only the constraints next to the 1-coordinates
-    of x get an entry, at most c * |x| of them; it then sets one target per
-    failing constraint, counts the votes in one pass and fills the buckets
-    from the counts. It never makes a whole-word pass and charges no
-    flips. It is still charged one check and one inner decode per
-    constraint: it decides every constraint's entry, those away from the
-    support by linearity, and the flat charge keeps a report a function of
-    the syndrome alone (decoding truth + e and e give equal reports).
+    A flip, `_flip`, walks each flipped variable's edges once. It XORs the
+    variable's byte, and on the edge from v to u it XORs the syndrome of the
+    unit vector at v's slot in u's neighborhood (read from the graph's
+    per-edge `slots` table) into u's syndrome. No restriction is read, and
+    the end state does not depend on the order of the edges.
+
+    Set-up is the flip of supp(x) from the zero word, whose state is the
+    initial one: every syndrome 0, so `_syn` is empty. It reads the
+    1-positions from x's packed bits and flips them, so only the constraints
+    next to the 1-coordinates of x get an entry, at most c * |x| of them. It
+    never makes a whole-word pass and charges no flips. It is still charged
+    one check and one inner decode per constraint: it decides every
+    constraint's entry, those away from the support by linearity, and the
+    flat charge keeps a report a function of the syndrome alone (decoding
+    truth + e and e give equal reports).
     """
 
     def __init__(self, code: TannerCode, params: DecoderParams, x: BitVector) -> None:
@@ -251,34 +246,15 @@ class DecodeState:
             raise ValueError(f"params were derived for another code than (c, d, d0, n) = {shape}")
         self.code = code
         self.params = params
-        self._c = c = graph.c
-        self._left_adj = left_adj = graph.left_adj
-        self._right_adj = right_adj = graph.right_adj
-        self._slots = slots = graph.slots
-        self._column_syndromes = columns = code.inner.column_syndromes
-        self._vote_slots = vote_slots = code.inner.vote_slots(params.t)
-        ones = x.indices()
-        self.x = word = bytearray(x.n)
-        self._syn = syn = {}
-        for v in ones:
-            word[v] = 1
-            edge = v * c
-            for u in left_adj[v]:
-                s = syn.get(u, 0) ^ columns[slots[edge]]
-                edge += 1
-                if s:
-                    syn[u] = s
-                else:  # columns are nonzero (d0 > 1), so u had an entry
-                    del syn[u]
-        self.targets = targets = {}
-        for u, s in syn.items():
-            slot = vote_slots.get(s)
-            if slot is not None:
-                targets[u] = right_adj[u][slot]
-        self.votes = votes = dict(Counter(targets.values()))
-        self.buckets = buckets = [set() for _ in range(c + 1)]
-        for v, m in votes.items():
-            buckets[m].add(v)
+        self._c = graph.c
+        self._left_adj = graph.left_adj
+        self._right_adj = graph.right_adj
+        self._slots = graph.slots
+        self._column_syndromes = code.inner.column_syndromes
+        self._vote_slots = code.inner.vote_slots(params.t)
+        self.x = bytearray(x.n)
+        self._syn = {}
+        self._flip(x.indices())
         self.ops = OpCounters(checks=graph.n_right, inner_decodes=graph.n_right)
 
     @property
@@ -290,74 +266,62 @@ class DecodeState:
     def unsat_count(self) -> int:
         return len(self._syn)
 
+    @property
+    def targets(self) -> dict[int, int]:
+        """Each voting constraint's target: its neighbor at the slot that
+        `vote_slots` gives its syndrome."""
+        right_adj, vote_slots = self._right_adj, self._vote_slots
+        return {
+            u: right_adj[u][slot]
+            for u, s in self._syn.items()
+            if (slot := vote_slots.get(s)) is not None
+        }
+
+    @property
+    def votes(self) -> Counter:
+        """Each variable's vote count, for the variables with a vote."""
+        return Counter(self.targets.values())
+
+    @property
+    def buckets(self) -> list[set[int]]:
+        """`buckets[m]` is the set of variables with exactly m votes."""
+        buckets = [set() for _ in range(self._c + 1)]
+        for v, m in self.votes.items():
+            buckets[m].add(v)
+        return buckets
+
     def x_vector(self) -> BitVector:
         return BitVector.from_bytes01(self.x)
 
     def _flip(self, vs) -> None:
-        """Flip the syndromes and votes of the constraints next to each
-        variable in vs, one pass over their edges, charging one check and
-        one inner decode per distinct constraint; then move each variable
-        whose count changed between buckets once."""
+        """Flip each variable in vs and XOR its column syndromes into the
+        syndromes of the constraints next to it, one pass over its edges."""
         left_adj, slots, c = self._left_adj, self._slots, self._c
-        syn, columns, vote_slots = self._syn, self._column_syndromes, self._vote_slots
-        right_adj, targets, votes = self._right_adj, self.targets, self.votes
-        dirty: set[int] = set()
-        before: dict[int, int] = {}  # count of each variable touched, on entry
+        x, syn, columns = self.x, self._syn, self._column_syndromes
         for v in vs:
-            adj = left_adj[v]
+            x[v] ^= 1
             edge = v * c
-            for u in adj:
-                s = syn.get(u, 0)
-                was = vote_slots.get(s)  # the slot u voted for, or None
-                s ^= columns[slots[edge]]
+            for u in left_adj[v]:
+                s = syn.get(u, 0) ^ columns[slots[edge]]
                 edge += 1
                 if s:
                     syn[u] = s
                 else:  # columns are nonzero (d0 > 1), so u had an entry
                     del syn[u]
-                slot = vote_slots.get(s)
-                if slot == was:
-                    continue
-                if was is not None:
-                    w = right_adj[u][was]
-                    m = votes[w]
-                    if w not in before:
-                        before[w] = m
-                    if m == 1:
-                        del votes[w]
-                    else:
-                        votes[w] = m - 1
-                if slot is None:
-                    del targets[u]
-                else:
-                    w = targets[u] = right_adj[u][slot]
-                    m = votes.get(w, 0)
-                    if w not in before:
-                        before[w] = m
-                    votes[w] = m + 1
-            dirty.update(adj)
-        ops = self.ops
-        ops.checks += len(dirty)
-        ops.inner_decodes += len(dirty)
-        buckets = self.buckets
-        for v, m in before.items():
-            k = votes.get(v, 0)
-            if k != m:
-                if m:
-                    buckets[m].discard(v)
-                if k:
-                    buckets[k].add(v)
 
     def apply_flips(self, vs) -> list[int]:
         """Flip the given variables and bring the adjacent constraints up
-        to date."""
+        to date, charging one check and one inner decode per distinct
+        constraint next to them."""
         flipped = sorted(vs)
         if not flipped:
             return flipped
-        x = self.x
-        for v in flipped:
-            x[v] ^= 1
-        self.ops.flips += len(flipped)
+        left_adj = self._left_adj
+        touched = len({u for v in flipped for u in left_adj[v]})
+        ops = self.ops
+        ops.flips += len(flipped)
+        ops.checks += touched
+        ops.inner_decodes += touched
         self._flip(flipped)
         return flipped
 
@@ -365,10 +329,10 @@ class DecodeState:
 def easy_flip(state: DecodeState, m: int) -> list[int]:
     """Flip every variable holding exactly m votes; returns the flipped set.
 
-    Votes were established by the state invariant: each constraint whose
+    The votes are read off the state's syndromes: each constraint whose
     restriction decodes to a codeword at distance 1..t votes for its smallest
     mismatching neighbor. Only constraints adjacent to flipped variables are
-    re-examined.
+    updated.
     """
     if not 1 <= m <= state.code.graph.c:
         raise ValueError(f"m must be in [1, {state.code.graph.c}]")
@@ -392,16 +356,25 @@ def hard_search(state: DecodeState) -> None:
       down to top = min(s0, largest k whose bound |U| meets), read in O(1)
       from the reach table `prune_bounds` at the integer |U|.
 
-    Each chain is one generator, `chain(depth)`. Going down, it tries the
-    digits before e level by level while one of them can still pass one
-    level deeper; it yields the leaf at s0 when the chain reaches s0; going
-    back up, it tries the digits after e, jumping to the deepest level where
-    one of them passes. Its `children` flips one bucket at a time, caches
+    Each chain is one generator, `chain(depth, buckets)`. Going down, it
+    tries the digits before e level by level while one of them can still
+    pass one level deeper; it yields the leaf at s0 when the chain reaches
+    s0; going back up, it tries the digits after e, jumping to the deepest
+    level where one of them passes. Its `children` flips one bucket at a time, caches
     the largest k at which the result passes, yields the child's depth when
     the flip passes, and undoes the flip when the walk resumes it; it has no
     try/finally, which would undo the accepted sequence as the suspended
     generators are dropped. The main loop keeps a stack of these generators,
     so no recursion is involved.
+
+    Each node entered below s0 reads its buckets off the |U| failing
+    syndromes once (`DecodeState.buckets`) and hands them to its chain. They
+    stay exact for the whole chain: every child flip is undone before the
+    chain flips its next digit, so the chain's word holds. This read is not
+    charged to the counters. Every entered node but the root passed a bound,
+    so its |U| is at most c*gamma*n, and a call reads at most
+    |U| + ops.nodes * c*gamma*n syndromes, |U| being the root's count and
+    ops.nodes the nodes the call counts.
 
     The generators add no flip or node that these shortcuts do not call
     for, yet a call can cost more than its real bucket flips plus O(c) per
@@ -416,16 +389,15 @@ def hard_search(state: DecodeState) -> None:
     c = state.code.graph.c
     table = params.prune_bounds
     accept_limit = params.eps4 * state.unsat_count
-    buckets = state.buckets
     ops = state.ops
 
     def reach(u: int) -> int:
         """Largest k <= s0 whose pruning bound u meets, or -1."""
         return table[u] if u < len(table) else -1
 
-    def chain(depth: int):
-        """Walk levels depth..top of the current word, yielding the depth of
-        each child to enter."""
+    def chain(depth: int, buckets: list[set[int]]):
+        """Walk levels depth..top of the current word, whose buckets are
+        `buckets`, yielding the depth of each child to enter."""
         e = next((m for m in range(1, c + 1) if not buckets[m]), c + 1)
         top = max(depth, reach(state.unsat_count)) if e <= c else depth
         last = min(top, s0 - 1)
@@ -468,9 +440,11 @@ def hard_search(state: DecodeState) -> None:
         """Push the chain of the node at `depth` if a vote is pending there;
         otherwise decide it as a leaf, True if it accepted."""
         ops.nodes += 1
-        if depth < s0 and any(buckets):
-            stack.append(chain(depth))
-            return False
+        if depth < s0:
+            buckets = state.buckets
+            if any(buckets):
+                stack.append(chain(depth, buckets))
+                return False
         # a frozen node's word must also meet every bound down to s0
         unsat = state.unsat_count
         if unsat > accept_limit or reach(unsat) != s0:
@@ -639,20 +613,21 @@ def compute_truth_trace(state: DecodeState, truth: BitVector) -> TruthTrace:
     confused: set[int] = set()
     votes_from_correct = [0] * (c + 1)
     truth_word = truth.to_bytes01()
-    for u, tgt in sorted(state.targets.items()):
+    targets, votes, buckets = state.targets, state.votes, state.buckets
+    for u, tgt in sorted(targets.items()):
         r = code.read_restriction(state.x, u)
         leader = code.inner.leader_for(r)
         truth_bits = code.read_restriction(truth_word, u)
         if r ^ leader == truth_bits:
             correct.add(u)
-            votes_from_correct[state.votes[tgt]] += 1
+            votes_from_correct[votes[tgt]] += 1
         else:
             confused.add(u)
     sizes = [0] * (c + 1)
     in_corrupt = [0] * (c + 1)
     for m in range(1, c + 1):
-        sizes[m] = len(state.buckets[m])
-        for v in state.buckets[m]:
+        sizes[m] = len(buckets[m])
+        for v in buckets[m]:
             if v in corrupt:
                 in_corrupt[m] += 1
     return TruthTrace(

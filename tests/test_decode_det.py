@@ -313,7 +313,7 @@ class TestDecodeState:
         assert big_code.failing_constraints(st.x) == sorted(st.unsat)
 
     def test_decode_allocates_per_error_not_per_coordinate(self):
-        # the state's maps hold live entries only, so one decode of a
+        # the state keeps only its nonzero syndromes, so one decode of a
         # 3-error word allocates far less than the 8 bytes per coordinate
         # that even one list of n ints takes; the word's own 0/1 bytes are
         # the only per-coordinate allocation (fresh code and params, so the
@@ -620,6 +620,40 @@ def test_hard_searches_match_scan(s0, word, committed):
     code, params = hard_params(s0)
     expected = scan_commit(code, params, BitVector.from_text(word))
     assert (None if expected is None else expected.to_text()) == committed
+
+
+def test_search_buckets_are_each_nodes_own(big_code, big_params, monkeypatch):
+    # hard_search derives the buckets once per node it enters below s0 and
+    # hands them to that node's chain, which flips them at every level: they
+    # must be the buckets of the node's word, read off its syndromes
+    derived = []
+    buckets = tf.DecodeState.buckets
+
+    def recorded(state):
+        got = buckets.fget(state)
+        derived.append((state.x_vector(), [set(b) for b in got]))
+        return got
+
+    monkeypatch.setattr(tf.DecodeState, "buckets", property(recorded))
+    zero = BitVector.zeros(big_code.n)
+    loose = dataclasses.replace(big_params, s0=3, eps3=0.1)
+    cases = [(big_code, big_params, corrupt(zero, w, seed)) for w, seed in ((3, 3), (9, 1), (9, 2))]
+    cases += [(big_code, loose, corrupt(zero, w, seed)) for w, seed in ((8, 5), (30, 6))]
+    cases += [(*hard_params(s0), BitVector.from_text(word))
+              for s0, word, _, _ in HARD_SEARCHES if s0 <= 6]
+    nodes = 0
+    for code, params, x in cases:
+        derived.clear()
+        state = tf.DecodeState(code, params, x)
+        try:
+            tf.hard_search(state)
+        except tf.NoAcceptableBranch:
+            pass
+        assert derived
+        nodes += len(derived)
+        for word, got in derived:
+            assert got == reference_setup(code, params, word).buckets, word.to_text()
+    assert nodes > 300  # 333 of them in the four pinned searches
 
 
 def test_no_op_chain_is_one_frame(big_code, big_params):
@@ -999,9 +1033,12 @@ class TestClosingCheck:
             # reaches exactly the constraints next to the support
             assert sorted(left_reads) == x.indices()
             assert {u for v in left_reads for u in left_adj[v]} == support
-            # and reads the neighborhood of a constraint only to place its
-            # vote: once per voting constraint, all of them next to the support
-            assert sorted(right_reads) == sorted(state.targets)
+            # and reads no neighborhood: the votes are read off the syndromes
+            assert right_reads == []
+            # a read of the targets places each vote with one neighborhood
+            # read per voting constraint, all of them next to the support
+            targets = state.targets
+            assert sorted(right_reads) == sorted(targets)
             assert set(right_reads) <= support and len(right_reads) <= c * weight
             assert state.unsat <= support
             assert state.ops.checks == state.ops.inner_decodes == graph.n_right
