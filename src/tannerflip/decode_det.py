@@ -31,10 +31,7 @@ and the closing membership check (`TannerCode.failing_constraints` on the
 output word) reads only the constraints next to the output's 1-coordinates.
 The search walk runs each chain of empty-bucket (no-op) levels as one
 generator, so it flips no bucket for a no-op level; `hard_search` says where
-a call can still cost more than its real bucket flips. Operation
-counters record every check, inner decode, bit flip and search node of the
-decoding for the cost-contract tests; the closing check is not counted, and
-reads at most c * |output| constraints.
+a call can cost more than its bucket flips; `OpCounters`, what is uncounted.
 """
 
 from __future__ import annotations
@@ -186,7 +183,14 @@ def derive_params(
 @dataclass(slots=True)
 class OpCounters:
     """Work counters; `nodes` counts the levels hard_search's walk stands on
-    to try digits, plus each leaf it decides."""
+    to try digits, plus each leaf it decides.
+
+    `checks` and `inner_decodes` are equal in every report: set-up (every
+    constraint), `apply_flips` (each constraint next to the flips) and
+    `_final_inner_pass` (each one it takes) charge one of each per constraint,
+    whose kept syndrome is its check and, by one lookup, its inner decode.
+    Uncounted: the vote views' walks over the failing syndromes (per search
+    node and per randomized iteration) and the closing membership check."""
 
     checks: int = 0
     inner_decodes: int = 0

@@ -53,9 +53,9 @@ class RandDecodeConfig:
     def for_params(
         cls, params: DecoderParams, seed: int, max_iters: int | None = None
     ) -> RandDecodeConfig:
-        """The iteration budget defaults to
-        ceil(log(gamma/alpha) / log(1 - 3*eps*(delta*(t+1)-1)/(4t))), with
-        the concentration margin eps = eps0*delta^2/4."""
+        """The iteration budget defaults to ceil(log(gamma/alpha) / log(shrink)),
+        shrink = 1 - 3*eps*(delta*(t+1)-1)/(4t) with eps = eps0*delta^2/4: enough
+        iterations to shrink a start of |F| = alpha*n errors to gamma*n."""
         if max_iters is None:
             eps = params.eps0 * params.delta**2 / 4
             shrink = 1 - 3 * eps * (params.delta * (params.t + 1) - 1) / (4 * params.t)

@@ -177,6 +177,14 @@ class BitMatrix:
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
 
+    def columns(self) -> tuple[int, ...]:
+        """Column j packed (row i at bit i), transposed one 1-bit at a time."""
+        columns = [0] * self.cols
+        for i, row in enumerate(self.row_bits):
+            for j in BitVector(self.cols, row).indices():
+                columns[j] |= 1 << i
+        return tuple(columns)
+
 
 def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
     """Matrix-vector product over GF(2); entry r is the parity of row r AND v."""
@@ -260,32 +268,31 @@ def gray_span(n: int, generators: tuple[int, ...]) -> Iterator[BitVector]:
 
 def nullspace_basis(m: BitMatrix) -> list[BitVector]:
     """Basis of the right kernel of m; one vector per free column, ascending."""
-    cols = m.cols
-    return _kernel((_reversed(row, cols) for row in m.row_bits), cols)
+    return _column_kernel(m.columns(), m.cols)
 
 
-def _kernel(rows: Iterable[int], cols: int) -> list[BitVector]:
-    """`nullspace_basis` of column-reversed rows. The vector of free column f
-    holds f and the pivot column of every reduced row with a bit at f, so one
-    walk over each reduced row's free-column bits builds them all."""
-    kernel: dict[int, int] = {}  # free column -> its vector, once a row hits it
-    pivots = set()
-    for row in _eliminate(rows, cols):
-        top = row.bit_length() - 1
-        pivot = cols - 1 - top
-        pivots.add(pivot)
-        pivot_bit = 1 << pivot
-        row ^= 1 << top
-        while row:
-            top = row.bit_length() - 1
-            free = cols - 1 - top
-            kernel[free] = kernel.get(free, 1 << free) | pivot_bit
-            row ^= 1 << top
-    return [
-        BitVector(cols, kernel.get(free, 1 << free))
-        for free in range(cols)
-        if free not in pivots
-    ]
+def _column_kernel(columns: Iterable[int], n: int) -> list[BitVector]:
+    """The kernel basis of the matrix with these n packed columns: for each
+    free column f, ascending, f plus the pivot columns that sum to it, as read
+    off the reduced row-echelon form. Each column is reduced against a basis
+    keyed by top bit, tracking the earlier columns XORed into it; one with a
+    new top bit joins the basis, and one that reduces to zero is free, its
+    tracked int its kernel vector. The basis holds rank pairs of rows + n bits."""
+    basis: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for v, column in enumerate(columns):
+        tracked = 1 << v
+        while column:
+            top = column.bit_length()
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = column, tracked
+                break
+            column ^= pivot[0]
+            tracked ^= pivot[1]
+        else:
+            kernel.append(BitVector(n, tracked))
+    return kernel
 
 
 __all__ = [

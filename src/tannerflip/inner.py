@@ -29,7 +29,7 @@ class InnerCode:
         self.h = h
         self.g = BitMatrix(self.k0, self.d, tuple(v.bits for v in g_rows))
         self.radius = (d0 - 1) // 2
-        self.column_syndromes = _column_syndromes(h)
+        self.column_syndromes = h.columns()
         self.syndrome_table = self._build_syndrome_table()
         self._vote_slots: dict[int, dict[int, int]] = {}
 
@@ -147,16 +147,6 @@ class InnerCode:
                 raise ValueError("matrix rows must be d characters of 0/1")
             rows.append([1 if ch == "1" else 0 for ch in ln])
         return cls.from_parity_check(BitMatrix.from_rows(rows))
-
-
-def _column_syndromes(h: BitMatrix) -> tuple[int, ...]:
-    """Entry j is the syndrome of the unit vector with bit j set."""
-    columns = [0] * h.cols
-    for i, row in enumerate(h.row_bits):
-        for j in range(h.cols):
-            if (row >> j) & 1:
-                columns[j] |= 1 << i
-    return tuple(columns)
 
 
 def _min_weight(g_rows: list[BitVector]) -> int:

@@ -8,10 +8,10 @@ the one membership check, reads only the constraints next to the word's
 1-coordinates, each with `read_restriction`, the one reader of a restriction.
 The generator basis (one elimination, which also gives `dim`) and the
 brute-force oracles are computed lazily; decoding and sweeps never need
-them. The elimination takes the stacked global parity checks one at a time,
-built column-reversed from the graph and the inner code, so they are never
-held at once; `global_h` builds the same rows as a matrix for tests and
-callers that want it, on each access.
+them. The elimination takes the stacked parity checks' columns, each built
+from its coordinate's edges and reduced as it is made, so the checks are
+never held at once; a column that reduces to zero gives its kernel vector
+there and then. `global_h` builds the checks as rows, on each access.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
-from .gf2 import BitMatrix, BitVector, _kernel, _ones, _reversed, gray_span
+from .gf2 import BitMatrix, BitVector, _column_kernel, _ones, gray_span
 from .graphs import BipartiteGraph
 from .inner import InnerCode
 
@@ -66,34 +66,33 @@ class TannerCode:
         """Membership of x, through `failing_constraints`."""
         return not self.failing_constraints(x.to_bytes01())
 
-    def _reversed_checks(self) -> Iterator[int]:
-        """The stacked parity checks, built one at a time and column-reversed
-        (coordinate v at bit n-1-v), as the elimination takes them: each
-        inner row mapped through each constraint's neighborhood in turn."""
-        last = self.n - 1
-        positions = [
-            [j for j in range(self.inner.d) if (hrow >> j) & 1]
-            for hrow in self.inner.h.row_bits
-        ]
-        for coords in self.graph.right_adj:
-            for row in positions:
-                mask = 0
-                for j in row:
-                    mask |= 1 << (last - coords[j])
-                yield mask
-
     @property
     def global_h(self) -> BitMatrix:
-        """Stacked parity checks, coordinate v at bit v. Built on each access
-        and not kept; `generator` eliminates the same rows without it."""
-        rows = tuple(_reversed(row, self.n) for row in self._reversed_checks())
+        """Stacked parity checks, coordinate v at bit v (row u*r + i is inner
+        row i through constraint u's neighborhood); built on each access."""
+        rows = tuple(
+            sum(1 << v for j, v in enumerate(coords) if hrow >> j & 1)
+            for coords in self.graph.right_adj
+            for hrow in self.inner.h.row_bits
+        )
         return BitMatrix(len(rows), self.n, rows)
 
     @cached_property
     def generator(self) -> tuple[BitVector, ...]:
-        """The kernel basis of the stacked checks, as `nullspace_basis`
-        gives it, each check handed to the elimination as it is built."""
-        return tuple(_kernel(self._reversed_checks(), self.n))
+        """The kernel basis of the stacked checks, as `nullspace_basis` gives
+        it; column v is one pass over v's edges, each slot's inner column
+        syndrome shifted to its constraint's r rows, reduced as it is made."""
+        c, r = self.graph.c, self.inner.h.rows
+        syndromes, slots = self.inner.column_syndromes, self.graph.slots
+
+        def columns() -> Iterator[int]:
+            for v, nb in enumerate(self.graph.left_adj):
+                column = 0
+                for edge, u in enumerate(nb, v * c):
+                    column |= syndromes[slots[edge]] << (r * u)
+                yield column
+
+        return tuple(_column_kernel(columns(), self.n))
 
     @property
     def dim(self) -> int:

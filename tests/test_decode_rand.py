@@ -175,6 +175,35 @@ class TestRandomizedDecode:
         assert ok >= 9
 
 
+# Iterations per trial 1..20 at w = floor(alpha*n): every trial decodes
+# within the default budget of 108, which assumes a start of alpha*n errors.
+RADIUS_ITERATIONS = {
+    2000: [6, 5, 5, 5, 7, 6, 6, 5, 5, 4, 5, 7, 4, 6, 5, 4, 6, 5, 5, 6],
+    8000: [6, 6, 5, 5, 6, 5, 6, 6, 6, 5, 5, 5, 5, 7, 5, 6, 5, 5, 6, 5],
+}
+
+
+@pytest.mark.parametrize("n", sorted(RADIUS_ITERATIONS))
+def test_decodes_at_its_own_radius(big_code, n):
+    """The randomized decoder at w = floor(alpha*n), 40 at n=2000 and 160 at
+    n=8000, far beyond the deterministic floor(gamma*n) of 3 and 13."""
+    code = big_code if n == 2000 else tf.TannerCode(
+        tf.gen_random_biregular(12, 8, n, seed=1), big_code.inner
+    )
+    params = tf.derive_params(c=12, d=8, alpha=0.02, delta=0.8, d0=4, n=n)
+    weight = math.floor(params.alpha * n)
+    iterations = []
+    for trial in range(1, 21):
+        x = corrupt(BitVector.zeros(n), weight, seed=1000 * weight + trial)
+        cfg = RandDecodeConfig.for_params(params, seed=trial)
+        assert cfg.max_iters == 108
+        report = tf.RandDecodeReport()
+        assert randomized_decode(code, params, cfg, x, report=report).bits == 0
+        assert report.handed_off
+        iterations.append(report.iterations)
+    assert iterations == RADIUS_ITERATIONS[n]
+
+
 def test_iterations_shrink_corruption(big_code, big_params):
     """Instrumented voting iterations remove corruption at least as fast as
     the configured shrink factor predicts, on average."""

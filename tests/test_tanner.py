@@ -212,6 +212,21 @@ def test_generator_matches_column_scan_kernel(request, fixture):
     assert code.generator == tuple(column_scan_kernel(code.global_h))
 
 
+def test_generator_of_workload_code_is_all_ones(big_code):
+    """The (12,8) n=2000 code with the [8,4,4] inner code has dimension 1:
+    its one nonzero codeword is the all-ones word."""
+    assert big_code.dim == 1
+    assert big_code.generator == (BitVector(2000, (1 << 2000) - 1),)
+
+
+def test_generator_matches_column_scan_kernel_positive_rate():
+    """(3,12) graph at n=480 with the [12,11,2] parity-check inner code:
+    dimension 360, and reduced rows dense in free columns."""
+    code = TannerCode(gen_random_biregular(3, 12, 480, seed=1), parity_check_code(12))
+    assert code.generator == tuple(column_scan_kernel(code.global_h))
+    assert code.dim == 360
+
+
 def test_generator_never_reads_global_h(monkeypatch, parity_2_8):
     def refuse(self):
         raise AssertionError("generator built the stacked checks")
