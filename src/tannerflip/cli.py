@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error, 3 validation failure, 4 decode failure.
+A size too large for the memory the process may use is a validation failure:
+its MemoryError ends in one stderr line and exit 3, not a traceback.
 Every subcommand takes --json for machine-readable output.
 """
 
@@ -306,6 +308,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -6,15 +6,32 @@ Left vertices are code bits, right vertices are constraints. All indexing is
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**8
 SWAP_CAP_FACTOR = 100
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector for a bulk build, then restore the caller's
+    state. A build makes only lists, tuples and sets of ints, which form no
+    cycles: a collection during it would scan them and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class BipartiteGraph:
@@ -25,26 +42,27 @@ class BipartiteGraph:
             raise ValueError(f"degrees must be at least 1, got c={c}, d={d}")
         self.c = c
         self.d = d
-        self.n_left = len(left_adj)
-        if self.n_left * c % d:
+        n_left = self.n_left = len(left_adj)
+        if n_left * c % d:
             raise ValueError("left degree sum not divisible by right degree")
-        self.n_right = self.n_left * c // d
-        self.left_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nb)) for nb in left_adj
-        )
+        n_right = self.n_right = n_left * c // d
+        adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, left_adj)))
+        self.left_adj = adj
         # checked before the right side is allocated, so that its size is
-        # bounded by the adjacency lists actually given
-        for v, nb in enumerate(self.left_adj):
-            if len(nb) != c or len(set(nb)) != c:
-                raise ValueError(f"left vertex {v} does not have {c} distinct neighbors")
-            # nb is ascending, so its ends bound every index in it
-            for u in (nb[0], nb[-1]):
-                if not 0 <= u < self.n_right:
-                    raise ValueError(f"right index {u} out of range")
-        right: list[list[int]] = [[] for _ in range(self.n_right)]
+        # bounded by the adjacency lists actually given: c distinct entries
+        # each and c * n_left in all leave no list longer than c
+        if sum(map(len, adj)) != c * n_left or not {c}.issuperset(map(len, map(set, adj))):
+            v = next(v for v, nb in enumerate(adj) if len(nb) != c or len(set(nb)) != c)
+            raise ValueError(f"left vertex {v} does not have {c} distinct neighbors")
+        # each list is ascending, so its ends bound every index in it
+        ends = (min(map(itemgetter(0), adj)), max(map(itemgetter(-1), adj))) if adj else ()
+        for u in ends:
+            if not 0 <= u < n_right:
+                raise ValueError(f"right index {u} out of range")
+        right: list[list[int]] = [[] for _ in range(n_right)]
         slots: list[int] = []
         add_slot = slots.append
-        for v, nb in enumerate(self.left_adj):
+        for v, nb in enumerate(adj):
             for u in nb:
                 r = right[u]
                 add_slot(len(r))
@@ -52,7 +70,7 @@ class BipartiteGraph:
         for u, nb in enumerate(right):
             if len(nb) != d:
                 raise ValueError(f"right vertex {u} has degree {len(nb)}, expected {d}")
-        self.right_adj: tuple[tuple[int, ...], ...] = tuple(tuple(nb) for nb in right)
+        self.right_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, right))
         # edge k of left vertex v, to u = left_adj[v][k], sits at entry
         # v * c + k: v's position in right_adj[u], one byte while d <= 256
         self.slots = array("B" if d <= 256 else "L", slots)
@@ -75,6 +93,7 @@ class BipartiteGraph:
         return "\n".join(lines) + "\n"
 
     @classmethod
+    @_collector_paused()
     def from_text(cls, text: str) -> BipartiteGraph:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -85,18 +104,35 @@ class BipartiteGraph:
             raise ValueError("header must be 'c d nL nR'") from exc
         if len(lines) != 1 + n_left:
             raise ValueError(f"expected {n_left} adjacency lines, found {len(lines) - 1}")
-        adj = []
-        for ln in lines[1:]:
-            nb = [int(tok) for tok in ln.split()]
-            if nb != sorted(nb):
-                raise ValueError("neighbor lists must be ascending")
-            adj.append(nb)
+        adj = [tuple(map(int, ln.split())) for ln in lines[1:]]
         g = cls(c, d, adj)
+        # the constructor sorts each list; a file must hold them sorted
+        if list(g.left_adj) != adj:
+            raise ValueError("neighbor lists must be ascending")
         if g.n_right != n_right:
             raise ValueError("header right-vertex count inconsistent with degrees")
         return g
 
 
+def _shuffle(x: list, rng: random.Random) -> None:
+    """Shuffle x in place with the `getrandbits` calls of CPython 3.10-3.13's
+    `Random.shuffle`, so a graph does not depend on how that is written: for
+    i from len(x) - 1 down to 1, x[i] swaps with x[j], j a k-bit draw redrawn
+    while j > i, k = (i + 1).bit_length(), computed once per power of two."""
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the smallest i with (i + 1).bit_length() == k
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
+
+
+@_collector_paused()
 def gen_random_biregular(c: int, d: int, n: int, seed: int) -> BipartiteGraph:
     """Seeded configuration-model sample repaired into a simple biregular graph."""
     if c < 1 or d < 1:
@@ -107,41 +143,39 @@ def gen_random_biregular(c: int, d: int, n: int, seed: int) -> BipartiteGraph:
     if c > n_right or d > n:
         raise ValueError("degrees too large for a simple biregular graph")
     rng = random.Random(seed)
-    right_stubs = [u for u in range(n_right) for _ in range(d)]
-    rng.shuffle(right_stubs)
-
-    # left stub i belongs to vertex i // c, so a vertex's edges are one
-    # c-slice of right_stubs, and an edge's multiplicity is a count in it
     total = n * c
+    right_stubs = [0] * total  # stub u * d + k is right vertex u's k-th
+    labels = list(range(n_right))  # one int object for u's d stubs: fewer misses
+    for k in range(d):
+        right_stubs[k::d] = labels
+    _shuffle(right_stubs, rng)
 
-    def edges(i: int) -> list[int]:
-        start = i - i % c
-        return right_stubs[start:start + c]
-
+    # left stub i = v * c + k is edge k of vertex v, so an edge's
+    # multiplicity is a count in adj[v]
+    adj = [right_stubs[start:start + c] for start in range(0, total, c)]
     bad = []
-    for start in range(0, total, c):
-        nb = right_stubs[start:start + c]
+    for v, nb in enumerate(adj):
         if len(set(nb)) < c:
-            bad.extend(start + k for k, u in enumerate(nb) if nb.count(u) >= 2)
+            bad.extend(v * c + k for k, u in enumerate(nb) if nb.count(u) >= 2)
     attempts = 0
     cap = SWAP_CAP_FACTOR * total
     while bad:
-        i = bad[-1]
-        ui, nb = right_stubs[i], edges(i)
+        v, k = divmod(bad[-1], c)
+        nb = adj[v]
+        ui = nb[k]
         if nb.count(ui) < 2:
             bad.pop()
             continue
         attempts += 1
         if attempts > cap:
             raise ValueError("edge-swap repair exceeded attempt cap; resample with a new seed")
-        j = rng.randrange(total)
-        uj = right_stubs[j]
+        w, m = divmod(rng.randrange(total), c)
+        other = adj[w]
+        uj = other[m]
         # the swapped pair must consist of fresh edges
-        if uj in nb or ui in edges(j):
+        if uj in nb or ui in other:
             continue
-        right_stubs[i], right_stubs[j] = uj, ui
-
-    adj = [right_stubs[start:start + c] for start in range(0, total, c)]
+        nb[k], other[m] = uj, ui
     return BipartiteGraph(c, d, adj)
 
 

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -420,6 +422,28 @@ class TestCli:
              "--out", "/tmp/never.bigraph"]
         )
         assert rc == 3
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's RLIMIT_AS")
+    def test_out_of_memory_exit_3(self, tmp_path):
+        # the child caps its own address space at 1 GiB, far below the
+        # stubs of 8e9 vertices: one stderr line and exit 3, no traceback
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from tannerflip.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "huge.bigraph"
+        env = dict(os.environ)
+        src = str(Path(tf.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "gen-graph", "--c", "12", "--d", "8",
+             "--n", "8000000000", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (3, "error: out of memory\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-5"), ("--c", "0"), ("--d", "0")])
     def test_params_non_positive_size_exit_3(self, capsys, flag, value):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
+import random
 import tracemalloc
 
 import pytest
 
 from conftest import scan_small_code, wide_small_code
+from tannerflip import graphs
 from tannerflip.graphs import (
     BipartiteGraph,
     build_lowerbound_graph,
@@ -69,6 +72,57 @@ class TestGeneration:
     def test_pinned_graphs(self, args):
         text = gen_random_biregular(*args).to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_GRAPHS[args]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffle_matches_random_shuffle(self, seed):
+        # the same permutation and the same draws, so the generator left
+        # behind is in the same state, at every power-of-two edge
+        edges = {e for k in range(15) for e in (2**k - 1, 2**k, 2**k + 1)}
+        for length in sorted(set(range(71)) | edges | {24000}):
+            expected, ours = list(range(length)), list(range(length))
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            ref_rng.shuffle(expected)
+            graphs._shuffle(ours, rng)
+            assert ours == expected, length
+            assert rng.getstate() == ref_rng.getstate(), length
+
+    def test_collector_paused_during_build_and_restored(self, monkeypatch):
+        seen = []
+        shuffle = graphs._shuffle
+
+        def spy(x, rng):
+            seen.append(gc.isenabled())
+            shuffle(x, rng)
+
+        monkeypatch.setattr(graphs, "_shuffle", spy)
+        assert gc.isenabled()
+        gen_random_biregular(12, 8, 2000, seed=1)
+        BipartiteGraph.from_text("2 3 3 2\n0 1\n0 1\n0 1\n")
+        assert seen == [False] and gc.isenabled()
+
+    def test_collector_restored_after_repair_cap(self, monkeypatch):
+        # seed 1's shuffle leaves 9 vertices with a repeated edge, so the
+        # repair runs and, with no attempts allowed, raises
+        rng = random.Random(1)
+        stubs = [u for u in range(16) for _ in range(8)]
+        graphs._shuffle(stubs, rng)
+        assert sum(len(set(stubs[i:i + 4])) < 4 for i in range(0, 128, 4)) == 9
+        monkeypatch.setattr(graphs, "SWAP_CAP_FACTOR", 0)
+        with pytest.raises(ValueError, match="attempt cap"):
+            gen_random_biregular(4, 8, 32, seed=1)
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="ascending"):
+            BipartiteGraph.from_text("2 3 3 2\n1 0\n0 1\n0 1\n")
+        assert gc.isenabled()
+
+    def test_collector_the_caller_disabled_stays_disabled(self):
+        gc.disable()
+        try:
+            gen_random_biregular(4, 8, 32, seed=3)
+            BipartiteGraph.from_text("2 3 3 2\n0 1\n0 1\n0 1\n")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_mutual_consistency(self):
         g = gen_random_biregular(4, 8, 32, seed=3)
