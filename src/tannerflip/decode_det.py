@@ -13,12 +13,14 @@ the inner decoder. The search flips buckets through
 because it is the one-round step that the lexicographic scan oracle
 (`deep_flip` in the tests) and the voting tests drive.
 
-The state is the word and each failing constraint's inner syndrome, kept
-up to date by XOR: a flip walks each flipped variable's edges once, XORing
-one column syndrome of the inner code into each adjacent constraint's
-syndrome. A vote is a function of its constraint's syndrome alone, so the
-votes and buckets are not stored: they are read off the failing syndromes,
-one lookup each, when a decoder asks for them. The syndrome map holds only
+The state is the word, each failing constraint's inner syndrome and each
+voting constraint's target, kept up to date in one pass: a flip walks each
+flipped variable's edges once, XORing one column syndrome of the inner code
+into each adjacent constraint's syndrome and re-aiming that constraint's
+vote by one lookup. A vote aimed at the edge's own slot is for the flipped
+variable, so only a vote aimed elsewhere reads the constraint's
+neighborhood. The vote counts and buckets are not stored: they are counted
+off the kept targets when a decoder asks for them. The maps hold only
 nonzero entries, so a decode allocates nothing per coordinate beyond its
 word. Set-up is the flip of the received word's support, read from its
 packed bits (`BitVector.indices`), from the zero word: every constraint away
@@ -42,6 +44,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from .gf2 import BitVector
 from .tanner import TannerCode
@@ -188,9 +191,10 @@ class OpCounters:
     `checks` and `inner_decodes` are equal in every report: set-up (every
     constraint), `apply_flips` (each constraint next to the flips) and
     `_final_inner_pass` (each one it takes) charge one of each per constraint,
-    whose kept syndrome is its check and, by one lookup, its inner decode.
-    Uncounted: the vote views' walks over the failing syndromes (per search
-    node and per randomized iteration) and the closing membership check."""
+    whose kept syndrome is its check and, by one lookup that also re-aims
+    its vote, its inner decode. Uncounted: the vote views' counts over the
+    kept targets (per search node and per randomized iteration) and the
+    closing membership check."""
 
     checks: int = 0
     inner_decodes: int = 0
@@ -207,38 +211,44 @@ class OpCounters:
 class DecodeState:
     """Mutable decoding state over an immutable code.
 
-    The state is the word and its syndromes. Invariant at every operation
-    boundary: `x` holds the current word as 0/1 bytes, and `_syn` maps each
-    constraint whose restriction of `x` has a nonzero inner syndrome to that
-    syndrome, so `unsat`, its key view, is exactly the set of failing
-    constraints. A constraint absent from `_syn` has syndrome 0, so a state
-    costs memory per failing constraint, not per coordinate. A flip is
-    undone by flipping the same variables again, which is how the search
-    backs out of a branch.
+    The state is the word, its syndromes and its votes' targets. Invariant
+    at every operation boundary: `x` holds the current word as 0/1 bytes;
+    `_syn` maps each constraint whose restriction of `x` has a nonzero inner
+    syndrome to that syndrome, so `unsat`, its key view, is exactly the set
+    of failing constraints; and `_tgt` maps each constraint whose syndrome
+    is in `vote_slots` to its neighbor at that slot, the variable it votes
+    for. A constraint absent from `_syn` has syndrome 0 and sends no vote,
+    so a state costs memory per failing constraint, not per coordinate. A
+    flip is undone by flipping the same variables again, which is how the
+    search backs out of a branch.
 
-    The votes are read off the syndromes, since each is a function of its
-    constraint's syndrome alone: `targets` maps each constraint that sends a
-    vote to the variable it votes for, `votes` maps each variable with at
-    least one vote to its count, and `buckets[m]` holds the variables with
-    exactly m votes (`buckets[0]` stays empty). Each is computed afresh on
-    every read, one `vote_slots` lookup per failing constraint, so nothing
-    is kept in step with a flip; a caller reads each once per word.
+    `targets` is a read-only view of `_tgt`; `votes` maps each variable with
+    at least one vote to its count, and `buckets[m]` holds the variables
+    with exactly m votes (`buckets[0]` stays empty). Those two are counted
+    afresh from the kept targets on every read, reading no neighborhood; a
+    caller reads each once per word.
 
     A flip, `_flip`, walks each flipped variable's edges once. It XORs the
-    variable's byte, and on the edge from v to u it XORs the syndrome of the
-    unit vector at v's slot in u's neighborhood (read from the graph's
-    per-edge `slots` table) into u's syndrome. No restriction is read, and
-    the end state does not depend on the order of the edges.
+    variable's byte, and on the edge from v to u, j being v's slot in u's
+    neighborhood (read from the graph's per-edge `slots` table), it XORs
+    the syndrome of the unit vector at j into u's syndrome s and re-aims
+    u's vote: no vote if s is 0 or not in `vote_slots`, v itself if
+    `vote_slots[s]` is j, and otherwise `right_adj[u][vote_slots[s]]`, the
+    one neighborhood read left. On a sparse word only a constraint next to
+    two flipped variables reaches that read. No restriction is read, and
+    the end state does not depend on the order of the edges: each entry is
+    a function of the constraint's final syndrome.
 
     Set-up is the flip of supp(x) from the zero word, whose state is the
-    initial one: every syndrome 0, so `_syn` is empty. It reads the
-    1-positions from x's packed bits and flips them, so only the constraints
-    next to the 1-coordinates of x get an entry, at most c * |x| of them. It
-    never makes a whole-word pass and charges no flips. It is still charged
-    one check and one inner decode per constraint: it decides every
-    constraint's entry, those away from the support by linearity, and the
-    flat charge keeps a report a function of the syndrome alone (decoding
-    truth + e and e give equal reports).
+    initial one: every syndrome 0, so `_syn` and `_tgt` are empty. It reads
+    the 1-positions from x's packed bits and flips them, so only the
+    constraints next to the 1-coordinates of x get an entry, at most
+    c * |x| of them, and only those it meets twice or more can read their
+    neighborhood. It never makes a whole-word pass and charges no flips. It
+    is still charged one check and one inner decode per constraint: it
+    decides every constraint's entry, those away from the support by
+    linearity, and the flat charge keeps a report a function of the syndrome
+    alone (decoding truth + e and e give equal reports).
     """
 
     def __init__(self, code: TannerCode, params: DecoderParams, x: BitVector) -> None:
@@ -258,6 +268,7 @@ class DecodeState:
         self._vote_slots = code.inner.vote_slots(params.t)
         self.x = bytearray(x.n)
         self._syn = {}
+        self._tgt = {}
         self._flip(x.indices())
         self.ops = OpCounters(checks=graph.n_right, inner_decodes=graph.n_right)
 
@@ -271,20 +282,17 @@ class DecodeState:
         return len(self._syn)
 
     @property
-    def targets(self) -> dict[int, int]:
-        """Each voting constraint's target: its neighbor at the slot that
-        `vote_slots` gives its syndrome."""
-        right_adj, vote_slots = self._right_adj, self._vote_slots
-        return {
-            u: right_adj[u][slot]
-            for u, s in self._syn.items()
-            if (slot := vote_slots.get(s)) is not None
-        }
+    def targets(self) -> MappingProxyType[int, int]:
+        """Each voting constraint's target, its neighbor at the slot that
+        `vote_slots` gives its syndrome: a live, read-only view of the map
+        the flips keep, so no caller can put it out of step."""
+        return MappingProxyType(self._tgt)
 
     @property
     def votes(self) -> Counter:
-        """Each variable's vote count, for the variables with a vote."""
-        return Counter(self.targets.values())
+        """Each variable's vote count, for the variables with a vote,
+        counted off the kept targets."""
+        return Counter(self._tgt.values())
 
     @property
     def buckets(self) -> list[set[int]]:
@@ -298,20 +306,29 @@ class DecodeState:
         return BitVector.from_bytes01(self.x)
 
     def _flip(self, vs) -> None:
-        """Flip each variable in vs and XOR its column syndromes into the
-        syndromes of the constraints next to it, one pass over its edges."""
+        """Flip each variable in vs, XOR its column syndromes into the
+        syndromes of the constraints next to it and re-aim their votes, one
+        pass over its edges."""
         left_adj, slots, c = self._left_adj, self._slots, self._c
         x, syn, columns = self.x, self._syn, self._column_syndromes
+        tgt, vote_slots, right_adj = self._tgt, self._vote_slots, self._right_adj
         for v in vs:
             x[v] ^= 1
             edge = v * c
-            for u in left_adj[v]:
-                s = syn.get(u, 0) ^ columns[slots[edge]]
-                edge += 1
+            for u, j in zip(left_adj[v], slots[edge : edge + c]):
+                s = syn.get(u, 0) ^ columns[j]
                 if s:
                     syn[u] = s
+                    k = vote_slots.get(s)
+                    if k == j:  # u votes for v itself
+                        tgt[u] = v
+                    elif k is None:
+                        tgt.pop(u, None)
+                    else:
+                        tgt[u] = right_adj[u][k]
                 else:  # columns are nonzero (d0 > 1), so u had an entry
                     del syn[u]
+                    tgt.pop(u, None)
 
     def apply_flips(self, vs) -> list[int]:
         """Flip the given variables and bring the adjacent constraints up
@@ -320,8 +337,7 @@ class DecodeState:
         flipped = sorted(vs)
         if not flipped:
             return flipped
-        left_adj = self._left_adj
-        touched = len({u for v in flipped for u in left_adj[v]})
+        touched = len(set().union(*map(self._left_adj.__getitem__, flipped)))
         ops = self.ops
         ops.flips += len(flipped)
         ops.checks += touched
@@ -333,7 +349,7 @@ class DecodeState:
 def easy_flip(state: DecodeState, m: int) -> list[int]:
     """Flip every variable holding exactly m votes; returns the flipped set.
 
-    The votes are read off the state's syndromes: each constraint whose
+    The votes are the state's kept targets: each constraint whose
     restriction decodes to a codeword at distance 1..t votes for its smallest
     mismatching neighbor. Only constraints adjacent to flipped variables are
     updated.
@@ -371,14 +387,15 @@ def hard_search(state: DecodeState) -> None:
     generators are dropped. The main loop keeps a stack of these generators,
     so no recursion is involved.
 
-    Each node entered below s0 reads its buckets off the |U| failing
-    syndromes once (`DecodeState.buckets`) and hands them to its chain. They
-    stay exact for the whole chain: every child flip is undone before the
-    chain flips its next digit, so the chain's word holds. This read is not
-    charged to the counters. Every entered node but the root passed a bound,
-    so its |U| is at most c*gamma*n, and a call reads at most
-    |U| + ops.nodes * c*gamma*n syndromes, |U| being the root's count and
-    ops.nodes the nodes the call counts.
+    Each node entered below s0 counts its buckets off the stored targets
+    once (`DecodeState.buckets`), reading no neighborhood, and hands them to
+    its chain. They stay exact for the whole chain: every child flip is
+    undone before the chain flips its next digit, so the chain's word holds.
+    This read is not charged to the counters. A node stores at most one
+    target per failing constraint, and every entered node but the root
+    passed a bound, so its |U| is at most c*gamma*n; a call reads at most
+    |U| + ops.nodes * c*gamma*n stored targets, |U| being the root's count
+    and ops.nodes the nodes the call counts.
 
     The generators add no flip or node that these shortcuts do not call
     for, yet a call can cost more than its real bucket flips plus O(c) per

@@ -34,6 +34,19 @@ from conftest import (
 )
 
 
+class Recorded(tuple):
+    """An adjacency table that records each index it is read at."""
+
+    def __new__(cls, table, log):
+        self = super().__new__(cls, table)
+        self.log = log
+        return self
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
+
+
 def blocks_graph(blocks: int, d: int) -> BipartiteGraph:
     return BipartiteGraph(1, d, [[v // d] for v in range(blocks * d)])
 
@@ -216,6 +229,21 @@ class TestDecodeState:
         assert st.buckets[2] == {0}
         assert_state_consistent(st, k32_code, k32_params)
 
+    def test_targets_is_read_only(self, k32_code, k32_params):
+        st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("100"))
+        targets = st.targets
+        with pytest.raises(TypeError):
+            targets[0] = 1
+        with pytest.raises(TypeError):
+            del targets[1]
+        with pytest.raises(AttributeError):
+            targets.clear()
+        assert targets == {0: 0, 1: 0}
+        assert_state_consistent(st, k32_code, k32_params)
+        # a live view of the kept map, as `unsat` is of the syndromes
+        tf.easy_flip(st, 2)
+        assert targets == {} and st.unsat_count == 0
+
     def test_consistency_random(self, big_code, big_params):
         rng = random.Random(7)
         truth = BitVector.zeros(big_code.n)
@@ -296,6 +324,32 @@ class TestDecodeState:
                 flip(st, vs)
                 flip(st, vs)
                 assert bytes(st.x) == word
+
+    def test_vote_aimed_away_from_the_flipped_variable(self, dim3_code):
+        # a constraint hit twice, then left with one error, votes for the
+        # variable flipped first, not for the one whose edge the pass is on:
+        # that vote's target is read from the constraint's neighborhood
+        rng = random.Random(29)
+        for code, params in (dim3_code, wide_small_code()):
+            graph = code.graph
+            zero = BitVector.zeros(code.n)
+            words = [zero, *itertools.islice(code.codewords(), 1, 4),
+                     BitVector(code.n, rng.getrandbits(code.n))]
+            for word in words:
+                st = tf.DecodeState(code, params, word)
+                rows = st._right_adj = Recorded(graph.right_adj, [])
+                for u in rng.sample(range(graph.n_right), 4):
+                    va, vb, ve = rng.sample(graph.right_adj[u], 3)
+                    # va alone, vb beside it, va undone, vb undone, then all
+                    # three in one pass; twice, the second time from there
+                    for step, vs in enumerate(([va], [vb], [va], [vb], [va, vb, ve]) * 2):
+                        rows.log.clear()
+                        st.apply_flips(vs)
+                        assert_state_consistent(st, code, params)
+                        assert_no_dead_entries(st)
+                        if word == zero and step == 2:
+                            assert rows.log == [u] and st.targets[u] == vb
+                    assert bytes(st.x) == word.to_bytes01()
 
     def test_setup_keeps_a_failing_constraint_beyond_the_radius(
         self, big_code, big_params
@@ -999,18 +1053,6 @@ class TestClosingCheck:
             reads.append(u)
             return read(code, word, u)
 
-        class Recorded(tuple):
-            """An adjacency table that records each index it is read at."""
-
-            def __new__(cls, table, log):
-                self = super().__new__(cls, table)
-                self.log = log
-                return self
-
-            def __getitem__(self, i):
-                self.log.append(i)
-                return super().__getitem__(i)
-
         monkeypatch.setattr(TannerCode, "is_codeword", refused)
         # a sparse word is converted per 1-bit: set-up reads its support, and
         # the output is packed per 1, not through the per-coordinate digits
@@ -1033,13 +1075,21 @@ class TestClosingCheck:
             # reaches exactly the constraints next to the support
             assert sorted(left_reads) == x.indices()
             assert {u for v in left_reads for u in left_adj[v]} == support
-            # and reads no neighborhood: the votes are read off the syndromes
-            assert right_reads == []
-            # a read of the targets places each vote with one neighborhood
-            # read per voting constraint, all of them next to the support
-            targets = state.targets
-            assert sorted(right_reads) == sorted(targets)
+            # and places each vote in the same pass: a constraint reads its
+            # neighborhood only when its vote is not for the variable just
+            # flipped, which takes a second error next to it, so every read
+            # lies next to the support and a 1-error word reads none
             assert set(right_reads) <= support and len(right_reads) <= c * weight
+            if weight == 1:
+                assert right_reads == []
+            elif weight == 300:  # errors sharing a constraint reach the read
+                assert right_reads
+            # the vote views read the kept targets and no neighborhood
+            right_reads.clear()
+            assert state.targets.keys() <= state.unsat
+            assert sum(state.votes.values()) == len(state.targets)
+            assert sum(map(len, state.buckets)) == len(state.votes)
+            assert right_reads == []
             assert state.unsat <= support
             assert state.ops.checks == state.ops.inner_decodes == graph.n_right
         # a decode to zero reads no restriction, the closing check included
