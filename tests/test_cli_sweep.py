@@ -426,7 +426,8 @@ class TestCli:
     @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's RLIMIT_AS")
     def test_out_of_memory_exit_3(self, tmp_path):
         # the child caps its own address space at 1 GiB, far below the
-        # stubs of 8e9 vertices: one stderr line and exit 3, no traceback
+        # stubs of 8e9 vertices and a sequential sweep's list of 1e9 jobs:
+        # one stderr line and exit 3 each, no traceback
         probe = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -435,14 +436,19 @@ class TestCli:
         )
         out = tmp_path / "huge.bigraph"
         env = dict(os.environ)
+        env.pop("TANNER_THREADS", None)
         src = str(Path(tf.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", probe, "gen-graph", "--c", "12", "--d", "8",
-             "--n", "8000000000", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert (done.returncode, done.stderr) == (3, "error: out of memory\n")
+        huge_graph = ["gen-graph", "--c", "12", "--d", "8", "--n", "8000000000",
+                      "--out", str(out)]
+        huge_sweep = ["sweep", *self.one_block_code(tmp_path), "--alpha", "0.5",
+                      "--delta", "1", "--weights", "1", "--trials", "1000000000"]
+        for argv in (huge_graph, huge_sweep):
+            done = subprocess.run(
+                [sys.executable, "-c", probe, *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert (done.returncode, done.stderr) == (3, "error: out of memory\n"), argv[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-5"), ("--c", "0"), ("--d", "0")])

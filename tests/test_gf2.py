@@ -115,7 +115,10 @@ def test_rref_matches_column_scan_reference(dim3_code):
         wide_deficient += expected[1] < min(m.rows, m.cols)
     assert wide_deficient >= 2 * len(WIDE_COLS)
     code, _ = dim3_code
-    assert rref(code.global_h) == column_scan_rref(code.global_h)
+    # no rows, no columns, no pivot; then a code's stacked checks
+    edges = (BitMatrix(0, 5, ()), BitMatrix(3, 0, (0, 0, 0)), BitMatrix(4, 7, (0,) * 4))
+    for m in (*edges, code.global_h):
+        assert rref(m) == column_scan_rref(m), m
 
 
 def test_nullspace_matches_column_scan_kernel(dim3_code):
