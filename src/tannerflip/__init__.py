@@ -1,6 +1,6 @@
 """Tanner codes on bipartite expanders with linear-time flip decoders."""
 
-from .gf2 import BitMatrix, BitVector, add, mat_vec_mul, nullspace_basis, rref
+from .gf2 import BitMatrix, BitVector, mat_vec_mul, nullspace_basis
 from .graphs import (
     BipartiteGraph,
     ExpansionReport,
@@ -35,7 +35,6 @@ from .decode_rand import (
     iteration_draw,
     randomized_decode,
     sample_flip_set,
-    vertex_draw,
 )
 from .sweep import ExperimentConfig, SweepReport, SweepRow, run_sweep
 
@@ -44,10 +43,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BitMatrix",
     "BitVector",
-    "add",
     "mat_vec_mul",
     "nullspace_basis",
-    "rref",
     "BipartiteGraph",
     "ExpansionReport",
     "build_lowerbound_graph",
@@ -82,7 +79,6 @@ __all__ = [
     "randomized_decode",
     "sample_flip_set",
     "iteration_draw",
-    "vertex_draw",
     "ExperimentConfig",
     "SweepReport",
     "SweepRow",

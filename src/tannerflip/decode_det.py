@@ -9,9 +9,7 @@ count stops shrinking fast enough, until one sequence cuts the count by a
 fixed factor. The top layer (`main_decode`) repeats the search until no
 constraint is unsatisfied, then finishes with one bounded-distance pass of
 the inner decoder. The search flips buckets through
-`DecodeState.apply_flips`, so no decoder calls `easy_flip`; it stays public
-because it is the one-round step that the lexicographic scan oracle
-(`deep_flip` in the tests) and the voting tests drive.
+`DecodeState.apply_flips` itself.
 
 The state is the word, each failing constraint's inner syndrome and each
 voting constraint's target, kept up to date in one pass: a flip walks each
@@ -353,6 +351,11 @@ def easy_flip(state: DecodeState, m: int) -> list[int]:
     restriction decodes to a codeword at distance 1..t votes for its smallest
     mismatching neighbor. Only constraints adjacent to flipped variables are
     updated.
+
+    No decoder calls it: `hard_search` flips buckets through
+    `DecodeState.apply_flips` itself. It stays public as the one-round step
+    that the lexicographic scan oracle (`deep_flip` in the tests) and the
+    voting tests drive.
     """
     if not 1 <= m <= state.code.graph.c:
         raise ValueError(f"m must be in [1, {state.code.graph.c}]")

@@ -94,11 +94,6 @@ def iteration_draw(seed: int, iteration: int) -> Callable[[int], float]:
     return draw
 
 
-def vertex_draw(seed: int, iteration: int, vertex: int) -> float:
-    """Uniform [0,1) draw keyed by (seed, iteration, vertex)."""
-    return iteration_draw(seed, iteration)(vertex)
-
-
 def sample_flip_set(
     buckets: list[set[int]], c: int, draw: Callable[[int], float]
 ) -> set[int]:
@@ -156,7 +151,6 @@ __all__ = [
     "RandDecodeConfig",
     "RandDecodeReport",
     "iteration_draw",
-    "vertex_draw",
     "sample_flip_set",
     "randomized_decode",
 ]

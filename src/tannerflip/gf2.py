@@ -122,17 +122,13 @@ class BitVector:
         return self.to_bytes01().translate(_DIGITS_OF_BYTES).decode()
 
     def __xor__(self, other: BitVector) -> BitVector:
-        return add(self, other)
+        """Coordinatewise GF(2) sum."""
+        if self.n != other.n:
+            raise ValueError(f"length mismatch: {self.n} != {other.n}")
+        return BitVector(self.n, self.bits ^ other.bits)
 
     def __len__(self) -> int:
         return self.n
-
-
-def add(a: BitVector, b: BitVector) -> BitVector:
-    """Coordinatewise GF(2) sum (XOR)."""
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} != {b.n}")
-    return BitVector(a.n, a.bits ^ b.bits)
 
 
 @dataclass(frozen=True)
@@ -186,7 +182,9 @@ class BitMatrix:
 
 
 def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
-    """Matrix-vector product over GF(2); entry r is the parity of row r AND v."""
+    """Matrix-vector product over GF(2); entry r is the parity of row r AND v.
+    No decoder multiplies by a matrix: this is the reference that the tests
+    compare `TannerCode.failing_constraints` and `generator` against."""
     if m.cols != v.n:
         raise ValueError(f"dimension mismatch: {m.cols} cols vs vector length {v.n}")
     bits = 0
@@ -206,36 +204,15 @@ def gray_span(n: int, generators: tuple[int, ...]) -> Iterator[BitVector]:
         yield BitVector(n, word)
 
 
+def _min_weight(n: int, generators: tuple[int, ...]) -> int:
+    """The least weight of a nonzero word in the span of the packed
+    generators (at least one), by brute force over `gray_span`."""
+    return min(word.weight() for word in gray_span(n, generators) if word.bits)
+
+
 def nullspace_basis(m: BitMatrix) -> list[BitVector]:
     """Basis of the right kernel of m; one vector per free column, ascending."""
     return _column_kernel(m.columns(), m.cols)
-
-
-def rref(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
-    """Reduced row-echelon form over GF(2), with columns read left-to-right
-    (bit 0 first). Returns (reduced matrix, rank, pivot columns).
-
-    It is read off the column kernel (`_column_kernel`): the free columns are
-    the kernel vectors' top bits, the pivots are the other columns, ascending,
-    and a pivot's reduced row is its unit bit plus every free column whose
-    kernel vector holds that pivot. The reduced form of a row space is unique,
-    so the rows are the rank nonzero rows in pivot order, then the zero rows.
-    Each kernel vector is n bits, so a wide dense matrix costs about ten times
-    a row elimination (600 x 2000 random, Python 3.11 on 2 cores: 300 ms
-    against 26 ms); the library passes only an inner code's checks, at most
-    24 columns.
-    """
-    cols = m.cols
-    kernel = _column_kernel(m.columns(), cols)
-    free = {vector.bits.bit_length() - 1 for vector in kernel}
-    reduced = {p: 1 << p for p in range(cols) if p not in free}
-    for vector in kernel:
-        *hit, f = vector.indices()
-        for p in hit:
-            reduced[p] |= 1 << f
-    rank = len(reduced)
-    rows = tuple(reduced.values()) + (0,) * (m.rows - rank)
-    return BitMatrix(m.rows, cols, rows), rank, list(reduced)
 
 
 def _column_kernel(columns: Iterable[int], n: int) -> list[BitVector]:
@@ -265,9 +242,7 @@ def _column_kernel(columns: Iterable[int], n: int) -> list[BitVector]:
 __all__ = [
     "BitVector",
     "BitMatrix",
-    "add",
     "mat_vec_mul",
-    "rref",
     "nullspace_basis",
     "gray_span",
 ]

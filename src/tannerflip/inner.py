@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .gf2 import BitMatrix, BitVector, gray_span, nullspace_basis, rref
+from .gf2 import BitMatrix, BitVector, _min_weight, gray_span, nullspace_basis
 
 MAX_BLOCK_LENGTH = 24
 
@@ -35,20 +35,21 @@ class InnerCode:
 
     @classmethod
     def from_parity_check(cls, h: BitMatrix) -> InnerCode:
-        """Build the code from any parity-check matrix (redundant rows allowed)."""
+        """Build the code from any parity-check matrix (redundant rows allowed).
+        One elimination, `nullspace_basis`, gives the generator; the checks
+        kept are the reduced rows read back off it (`_reduced_rows`)."""
         if h.cols > MAX_BLOCK_LENGTH:
             raise ValueError(
                 f"block length {h.cols} exceeds brute-force limit {MAX_BLOCK_LENGTH}"
             )
         if h.is_zero():
             raise ValueError("parity-check matrix must be nonzero")
-        reduced, rank, _ = rref(h)
-        full_rank_h = BitMatrix(rank, h.cols, reduced.row_bits[:rank])
-        g_rows = nullspace_basis(full_rank_h)
+        g_rows = nullspace_basis(h)
         if not g_rows:
             raise ValueError("code has dimension 0; minimum distance undefined")
-        d0 = _min_weight(g_rows)
-        return cls(full_rank_h, g_rows, d0)
+        rows = _reduced_rows(g_rows, h.cols)
+        d0 = _min_weight(h.cols, tuple(v.bits for v in g_rows))
+        return cls(BitMatrix(len(rows), h.cols, rows), g_rows, d0)
 
     def _build_syndrome_table(self) -> dict[int, int]:
         table = {0: 0}
@@ -111,12 +112,6 @@ class InnerCode:
             return None
         return BitVector(self.d, w.bits ^ leader)
 
-    def min_distance(self) -> int:
-        """Exact minimum distance by exhaustive codeword enumeration."""
-        if self.k0 < 1:
-            raise ValueError("dimension 0 code has no nonzero codeword")
-        return _min_weight([BitVector(self.d, r) for r in self.g.row_bits])
-
     def enumerate_codewords(self) -> Iterator[BitVector]:
         """All 2^k0 codewords, Gray-code order starting from zero."""
         if self.k0 > MAX_BLOCK_LENGTH:
@@ -149,14 +144,21 @@ class InnerCode:
         return cls.from_parity_check(BitMatrix.from_rows(rows))
 
 
-def _min_weight(g_rows: list[BitVector]) -> int:
-    n = g_rows[0].n
-    best = n + 1
-    for cw in gray_span(n, tuple(v.bits for v in g_rows)):
-        w = cw.weight()
-        if 0 < w < best:
-            best = w
-    return best
+def _reduced_rows(kernel: list[BitVector], cols: int) -> tuple[int, ...]:
+    """The nonzero rows of the reduced row-echelon form (columns read from
+    bit 0) of any matrix whose right kernel has this basis, as
+    `nullspace_basis` gives it, in pivot order; there are cols - len(kernel)
+    of them. The free columns are the kernel vectors' top bits, the pivots
+    are the other columns, and a pivot's row is its unit bit plus every free
+    column whose kernel vector holds that pivot. The reduced form of a row
+    space is unique, so these are the rows a row elimination gives."""
+    free = {vector.bits.bit_length() - 1 for vector in kernel}
+    reduced = {p: 1 << p for p in range(cols) if p not in free}
+    for vector in kernel:
+        *hit, f = vector.indices()
+        for p in hit:
+            reduced[p] |= 1 << f
+    return tuple(reduced.values())
 
 
 def parity_check_code(d: int) -> InnerCode:

@@ -11,7 +11,8 @@ brute-force oracles are computed lazily; decoding and sweeps never need
 them. The elimination takes the stacked parity checks' columns, each built
 from its coordinate's edges and reduced as it is made, so the checks are
 never held at once; a column that reduces to zero gives its kernel vector
-there and then. `global_h` builds the checks as rows, on each access.
+there and then. No method reads the checks as rows; `global_h` builds them
+as rows on each access, the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
-from .gf2 import BitMatrix, BitVector, _column_kernel, _ones, gray_span
+from .gf2 import BitMatrix, BitVector, _column_kernel, _min_weight, _ones, gray_span
 from .graphs import BipartiteGraph
 from .inner import InnerCode
 
@@ -63,13 +64,19 @@ class TannerCode:
         return [u for u in sorted(near) if syndrome_bits(read(word, u))]
 
     def is_codeword(self, x: BitVector) -> bool:
-        """Membership of x, through `failing_constraints`."""
+        """Membership of x, through `failing_constraints`. No decoder calls
+        it: `compute_truth_trace` checks its truth word with it, and the
+        benchmark (`bench/run.py`, timed by `bench/spans.py`) re-checks each
+        decoded word."""
         return not self.failing_constraints(x.to_bytes01())
 
     @property
     def global_h(self) -> BitMatrix:
         """Stacked parity checks, coordinate v at bit v (row u*r + i is inner
-        row i through constraint u's neighborhood); built on each access."""
+        row i through constraint u's neighborhood); built on each access.
+        The library never reads it: it is the plain reference that the tests
+        compare `failing_constraints` (through `mat_vec_mul`) and `generator`
+        against."""
         rows = tuple(
             sum(1 << v for j, v in enumerate(coords) if hrow >> j & 1)
             for coords in self.graph.right_adj
@@ -116,7 +123,7 @@ class TannerCode:
             raise ValueError("dimension 0 code has no nonzero codeword")
         if self.dim > MAX_BRUTEFORCE_DIM:
             raise ValueError(f"dimension {self.dim} exceeds {MAX_BRUTEFORCE_DIM}")
-        return min(cw.weight() for cw in self.codewords() if cw.bits)
+        return _min_weight(self.n, tuple(g.bits for g in self.generator))
 
     def nearest_codeword_oracle(self, x: BitVector) -> tuple[BitVector, int]:
         """Exhaustive nearest codeword; ties go to the lexicographically

@@ -14,43 +14,43 @@ warnings.filterwarnings(
 )
 
 
+# the parity checks behind the inner codes below
+EXT_HAMMING_CHECKS = BitMatrix.from_rows(
+    [
+        [1, 1, 1, 1, 1, 1, 1, 1],
+        [0, 1, 0, 1, 0, 1, 0, 1],
+        [0, 0, 1, 1, 0, 0, 1, 1],
+        [0, 0, 0, 0, 1, 1, 1, 1],
+    ]
+)
+TWO_BLOCK_CHECKS = BitMatrix.from_rows(
+    [
+        [1, 1, 0, 0, 0, 0],
+        [0, 1, 1, 0, 0, 0],
+        [0, 0, 0, 1, 1, 0],
+        [0, 0, 0, 0, 1, 1],
+    ]
+)
+_CIRCULANT = [1, 1, 0, 1, 0, 0]
+WIDE_12_6_4_CHECKS = BitMatrix.from_rows(
+    [[int(j == i) for j in range(6)] + _CIRCULANT[6 - i :] + _CIRCULANT[: 6 - i] for i in range(6)]
+)
+
+
 def ext_hamming_inner() -> tf.InnerCode:
     """The [8,4,4] extended Hamming code."""
-    return tf.InnerCode.from_parity_check(
-        BitMatrix.from_rows(
-            [
-                [1, 1, 1, 1, 1, 1, 1, 1],
-                [0, 1, 0, 1, 0, 1, 0, 1],
-                [0, 0, 1, 1, 0, 0, 1, 1],
-                [0, 0, 0, 0, 1, 1, 1, 1],
-            ]
-        )
-    )
+    return tf.InnerCode.from_parity_check(EXT_HAMMING_CHECKS)
 
 
 def two_block_inner_6_3() -> tf.InnerCode:
     """[6,2,3] code spanned by 111000 and 000111."""
-    return tf.InnerCode.from_parity_check(
-        BitMatrix.from_rows(
-            [
-                [1, 1, 0, 0, 0, 0],
-                [0, 1, 1, 0, 0, 0],
-                [0, 0, 0, 1, 1, 0],
-                [0, 0, 0, 0, 1, 1],
-            ]
-        )
-    )
+    return tf.InnerCode.from_parity_check(TWO_BLOCK_CHECKS)
 
 
 def wide_inner_12_6_4() -> tf.InnerCode:
     """[12,6,4] code with parity checks [I | circulant(110100)]: its words
     span two 8-bit chunks."""
-    row = [1, 1, 0, 1, 0, 0]
-    return tf.InnerCode.from_parity_check(
-        BitMatrix.from_rows(
-            [[int(j == i) for j in range(6)] + row[6 - i :] + row[: 6 - i] for i in range(6)]
-        )
-    )
+    return tf.InnerCode.from_parity_check(WIDE_12_6_4_CHECKS)
 
 
 def column_scan_rref(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:

@@ -385,9 +385,7 @@ def test_criterion_8_randomized_decoder():
     p_sizes = []
     hits = []
     for seed in range(draws):
-        picked = tf.sample_flip_set(
-            state.buckets, c, lambda v: tf.vertex_draw(seed, 1, v)
-        )
+        picked = tf.sample_flip_set(state.buckets, c, tf.iteration_draw(seed, 1))
         p_sizes.append(len(picked))
         hits.append(len(picked & trace.corrupt))
     mean_p = sum(p_sizes) / draws

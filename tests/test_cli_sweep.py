@@ -280,7 +280,7 @@ class TestCli:
         assert payload["report"]["outcome"] == "codeword"
         assert payload["report"]["checks"] >= k32_code.graph.n_right
         # vertex 0 of "100" is kept with probability 1/2 in iteration 1
-        seed = next(s for s in range(100) if tf.decode_rand.vertex_draw(s, 1, 0) >= 0.5)
+        seed = next(s for s in range(100) if tf.iteration_draw(s, 1)(0) >= 0.5)
         rc = main(argv + ["--word", "100", "--seed", str(seed), "--max-iters", "1"])
         assert rc == 4
         payload = json.loads(capsys.readouterr().out)

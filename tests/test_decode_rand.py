@@ -18,7 +18,6 @@ from tannerflip.decode_rand import (
     iteration_draw,
     randomized_decode,
     sample_flip_set,
-    vertex_draw,
 )
 from tannerflip.tanner import corrupt
 
@@ -54,20 +53,19 @@ class TestVertexDraw:
                 key=(seed & (2**64 - 1)).to_bytes(8, "little"),
             )
             expected = int.from_bytes(h.digest(), "little") / 2**64
-            assert vertex_draw(seed, iteration, vertex) == expected
             assert iteration_draw(seed, iteration)(vertex) == expected
 
     def test_deterministic_and_in_range(self):
-        a = vertex_draw(42, 1, 7)
-        assert a == vertex_draw(42, 1, 7)
+        a = iteration_draw(42, 1)(7)
+        assert a == iteration_draw(42, 1)(7)
         assert 0.0 <= a < 1.0
 
     def test_keys_independent(self):
-        draws = {vertex_draw(1, i, v) for i in range(3) for v in range(3)}
+        draws = {iteration_draw(1, i)(v) for i in range(3) for v in range(3)}
         assert len(draws) == 9
 
     def test_roughly_uniform(self):
-        values = [vertex_draw(9, 0, v) for v in range(4000)]
+        values = [iteration_draw(9, 0)(v) for v in range(4000)]
         mean = statistics.fmean(values)
         # mean of 4000 uniforms: sigma = 1/sqrt(12*4000) ~ 0.0046
         assert abs(mean - 0.5) < 3 * 0.0046
@@ -84,7 +82,7 @@ class TestSampleFlipSet:
         buckets[4] = set(range(n_items))
         sizes = []
         for seed in range(10_000):
-            picked = sample_flip_set(buckets, 4, lambda v: vertex_draw(seed, 0, v))
+            picked = sample_flip_set(buckets, 4, iteration_draw(seed, 0))
             sizes.append(len(picked))
         mean = statistics.fmean(sizes)
         sigma_mean = math.sqrt(n_items * 0.25) / math.sqrt(len(sizes))
@@ -103,14 +101,14 @@ class TestSampleFlipSet:
         )
         sizes = []
         for seed in range(10_000):
-            sizes.append(len(sample_flip_set(buckets, c, lambda v: vertex_draw(seed, 1, v))))
+            sizes.append(len(sample_flip_set(buckets, c, iteration_draw(seed, 1))))
         mean = statistics.fmean(sizes)
         assert abs(mean - expected) < 3 * math.sqrt(var / len(sizes))
 
     def test_deterministic(self):
         buckets = [set(), {1, 2, 3}, {4, 5}]
-        a = sample_flip_set(buckets, 2, lambda v: vertex_draw(3, 2, v))
-        b = sample_flip_set(buckets, 2, lambda v: vertex_draw(3, 2, v))
+        a = sample_flip_set(buckets, 2, iteration_draw(3, 2))
+        b = sample_flip_set(buckets, 2, iteration_draw(3, 2))
         assert a == b
 
 
@@ -133,14 +131,14 @@ class TestRandomizedDecode:
 
     def test_accepting_seed_corrects(self, k32_code, k32_params):
         # vertex 0 holds two votes, so it is kept with probability 2/(2c) = 1/2
-        seed = find_seed(lambda s: vertex_draw(s, 1, 0) < 0.5)
+        seed = find_seed(lambda s: iteration_draw(s, 1)(0) < 0.5)
         cfg = RandDecodeConfig.for_params(k32_params, seed=seed)
         out = randomized_decode(k32_code, k32_params, cfg, BitVector.from_text("100"))
         assert out.to_text() == "000"
 
     def test_rejecting_seed_aborts(self, k32_code, k32_params):
         seed = find_seed(
-            lambda s: all(vertex_draw(s, it, 0) >= 0.5 for it in (1, 2, 3))
+            lambda s: all(iteration_draw(s, it)(0) >= 0.5 for it in (1, 2, 3))
         )
         cfg = RandDecodeConfig.for_params(k32_params, seed=seed, max_iters=3)
         with pytest.raises(RandomizedAbort) as info:
@@ -221,7 +219,7 @@ def test_iterations_shrink_corruption(big_code, big_params):
         for iteration in range(1, 6):
             before = sum(state.x)
             picked = sample_flip_set(
-                state.buckets, c, lambda v: vertex_draw(trial, iteration, v)
+                state.buckets, c, iteration_draw(trial, iteration)
             )
             state.apply_flips(picked)
             after = sum(state.x)

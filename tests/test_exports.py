@@ -52,3 +52,25 @@ def test_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_every_imported_name_is_used_or_exported():
+    # a name a module imports but neither uses nor lists in __all__ is a
+    # leftover of code that has gone
+    leftover = []
+    for path in sorted(Path(tannerflip.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, used, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                imported |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= set(ast.literal_eval(node.value))
+        leftover += [f"{path.name}: {name}" for name in sorted(imported - used - exported)]
+    assert leftover == []

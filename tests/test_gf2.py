@@ -8,9 +8,16 @@ from hypothesis import example, given, strategies as st
 
 import tannerflip.gf2 as gf2
 from tannerflip.decode_det import DecodeReport
-from tannerflip.gf2 import BitMatrix, BitVector, add, mat_vec_mul, nullspace_basis, rref
+from tannerflip.gf2 import BitMatrix, BitVector, mat_vec_mul, nullspace_basis
+from tannerflip.inner import InnerCode, _reduced_rows
 
-from conftest import column_scan_kernel, column_scan_rref
+from conftest import (
+    EXT_HAMMING_CHECKS,
+    TWO_BLOCK_CHECKS,
+    WIDE_12_6_4_CHECKS,
+    column_scan_kernel,
+    column_scan_rref,
+)
 
 
 def vec(text: str) -> BitVector:
@@ -19,17 +26,17 @@ def vec(text: str) -> BitVector:
 
 class TestAdd:
     def test_identity(self):
-        assert add(vec("0000"), vec("0000")) == vec("0000")
+        assert vec("0000") ^ vec("0000") == vec("0000")
 
     def test_self_inverse(self):
-        assert add(vec("1010"), vec("1010")) == vec("0000")
+        assert vec("1010") ^ vec("1010") == vec("0000")
 
     def test_bitwise_xor(self):
-        assert add(vec("1100"), vec("0110")) == vec("1010")
+        assert vec("1100") ^ vec("0110") == vec("1010")
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            add(vec("10"), vec("100"))
+        with pytest.raises(ValueError, match="length mismatch: 2 != 3"):
+            vec("10") ^ vec("100")
 
 
 class TestMatVecMul:
@@ -50,21 +57,28 @@ class TestMatVecMul:
             mat_vec_mul(BitMatrix.identity(3), vec("10"))
 
 
+def rref(m: BitMatrix) -> tuple[tuple[int, ...], int]:
+    """What `InnerCode.from_parity_check` reads off m's one elimination: the
+    nonzero rows of its reduced row-echelon form, and its rank."""
+    kernel = nullspace_basis(m)
+    return _reduced_rows(kernel, m.cols), m.cols - len(kernel)
+
+
+def reference_rref(m: BitMatrix) -> tuple[tuple[int, ...], int]:
+    """The same two, read off `column_scan_rref`."""
+    reduced, rank, _ = column_scan_rref(m)
+    return reduced.row_bits[:rank], rank
+
+
 class TestRref:
     def test_identity(self):
-        reduced, rank, pivots = rref(BitMatrix.identity(2))
-        assert reduced == BitMatrix.identity(2)
-        assert rank == 2
-        assert pivots == [0, 1]
+        assert rref(BitMatrix.identity(2)) == (BitMatrix.identity(2).row_bits, 2)
 
     def test_duplicate_rows(self):
-        reduced, rank, pivots = rref(BitMatrix.from_rows([[1, 1], [1, 1]]))
-        assert reduced == BitMatrix.from_rows([[1, 1], [0, 0]])
-        assert rank == 1
-        assert pivots == [0]
+        assert rref(BitMatrix.from_rows([[1, 1], [1, 1]])) == ((0b11,), 1)
 
     def test_rank_two(self):
-        _, rank, _ = rref(BitMatrix.from_rows([[1, 1, 0], [1, 0, 1]]))
+        _, rank = rref(BitMatrix.from_rows([[1, 1, 0], [1, 0, 1]]))
         assert rank == 2
 
 
@@ -99,26 +113,66 @@ def wide_matrices() -> list[BitMatrix]:
     return out
 
 
-def test_rref_matches_column_scan_reference(dim3_code):
+def min_weight_reference(m: BitMatrix) -> int:
+    """The least weight of a nonzero word that passes every check of m, by a
+    scan of all 2^cols words."""
+    return min(
+        w.bit_count()
+        for w in range(1, 1 << m.cols)
+        if all((row & w).bit_count() % 2 == 0 for row in m.row_bits)
+    )
+
+
+# the checks behind the test suite's inner codes and repetition_code(3), then
+# the repetition code from a redundant third check
+INNER_CHECKS = (
+    EXT_HAMMING_CHECKS,
+    TWO_BLOCK_CHECKS,
+    WIDE_12_6_4_CHECKS,
+    BitMatrix.from_rows([[1, 1, 0], [1, 0, 1]]),
+    BitMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]]),
+)
+
+
+def test_rref_matches_column_scan_reference(dim3_code, monkeypatch):
     rng = random.Random(2024)
     deficient = 0
     for _ in range(2000):
         m = span_matrix(rng, rng.randint(1, 12), rng.randint(1, 16))
-        expected = column_scan_rref(m)
+        expected = reference_rref(m)
         assert rref(m) == expected, m
         deficient += expected[1] < min(m.rows, m.cols)
     assert deficient >= 1000
     wide_deficient = 0
     for m in wide_matrices():
-        expected = column_scan_rref(m)
+        expected = reference_rref(m)
         assert rref(m) == expected, m
         wide_deficient += expected[1] < min(m.rows, m.cols)
     assert wide_deficient >= 2 * len(WIDE_COLS)
     code, _ = dim3_code
-    # no rows, no columns, no pivot; then a code's stacked checks
+    # no rows, no columns, no pivot; then a code's stacked checks and the
+    # inner codes' checks
     edges = (BitMatrix(0, 5, ()), BitMatrix(3, 0, (0, 0, 0)), BitMatrix(4, 7, (0,) * 4))
-    for m in (*edges, code.global_h):
-        assert rref(m) == column_scan_rref(m), m
+    for m in (*edges, code.global_h, *INNER_CHECKS):
+        assert rref(m) == reference_rref(m), m
+    # an inner code keeps those rows as its checks, read off its one
+    # elimination, which also gives its generator
+    calls = []
+    column_kernel = gf2._column_kernel
+
+    def counted(columns, n):
+        calls.append(n)
+        return column_kernel(columns, n)
+
+    monkeypatch.setattr(gf2, "_column_kernel", counted)
+    for m in INNER_CHECKS:
+        calls.clear()
+        inner = InnerCode.from_parity_check(m)
+        assert calls == [m.cols], m
+        rows, rank = reference_rref(m)
+        assert inner.h == BitMatrix(rank, m.cols, rows), m
+        assert list(inner.g.row_bits) == [v.bits for v in column_scan_kernel(m)], m
+        assert inner.d0 == min_weight_reference(m), m
 
 
 def test_nullspace_matches_column_scan_kernel(dim3_code):
@@ -167,14 +221,14 @@ vectors = st.integers(1, 64).flatmap(
 def test_add_group_laws(a, b_bits, c_bits):
     b = BitVector(a.n, b_bits & ((1 << a.n) - 1))
     c = BitVector(a.n, c_bits & ((1 << a.n) - 1))
-    assert add(a, b) == add(b, a)
-    assert add(add(a, b), c) == add(a, add(b, c))
-    assert add(a, a) == BitVector.zeros(a.n)
+    assert a ^ b == b ^ a
+    assert (a ^ b) ^ c == a ^ (b ^ c)
+    assert a ^ a == BitVector.zeros(a.n)
 
 
 @given(matrices)
 def test_nullspace_orthogonal_and_rank_nullity(m):
-    _, rank, _ = rref(m)
+    _, rank = reference_rref(m)
     basis = nullspace_basis(m)
     assert rank + len(basis) == m.cols
     for v in basis:
@@ -201,13 +255,13 @@ def test_kernel_complete_by_enumeration(m):
         for w in range(1 << m.cols)
         if all((row & w).bit_count() % 2 == 0 for row in m.row_bits)
     )
-    _, rank, _ = rref(m)
+    _, rank = rref(m)
     assert kernel == 1 << (m.cols - rank)
 
 
 def test_rowspace_preserved_by_rref():
     m = BitMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    reduced, rank, _ = rref(m)
+    reduced, _ = rref(m)
     span = set()
     for mask in range(1 << m.rows):
         w = 0
@@ -216,11 +270,11 @@ def test_rowspace_preserved_by_rref():
                 w ^= m.row_bits[i]
         span.add(w)
     span_reduced = set()
-    for mask in range(1 << reduced.rows):
+    for mask in range(1 << len(reduced)):
         w = 0
-        for i in range(reduced.rows):
+        for i in range(len(reduced)):
             if (mask >> i) & 1:
-                w ^= reduced.row_bits[i]
+                w ^= reduced[i]
         span_reduced.add(w)
     assert span == span_reduced
 
