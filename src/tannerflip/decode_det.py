@@ -17,13 +17,17 @@ flipped variable's edges once, XORing one column syndrome of the inner code
 into each adjacent constraint's syndrome and re-aiming that constraint's
 vote by one lookup. A vote aimed at the edge's own slot is for the flipped
 variable, so only a vote aimed elsewhere reads the constraint's
-neighborhood. The vote counts and buckets are not stored: they are counted
-off the kept targets when a decoder asks for them. The maps hold only
-nonzero entries, so a decode allocates nothing per coordinate beyond its
-word. Set-up is the flip of the received word's support, read from its
+neighborhood. The vote counts are counted off the kept targets on the
+first read after set-up and then kept: a flip patches them from the old and
+new targets of the constraints it touches, or drops them when it touches a
+large share of the voting constraints, to be counted afresh on the next
+read. The buckets are grouped from the counts on each read. The maps hold
+only nonzero entries, so a decode allocates nothing per coordinate beyond
+its word. Set-up is the flip of the received word's support, read from its
 packed bits (`BitVector.indices`), from the zero word: every constraint away
-from the support passes by linearity. Set-up is charged one check and one
-inner decode per constraint. The output is packed from the word's final
+from the support passes by linearity, and one first met takes the flipped
+variable's column syndrome and votes for it, in one step. Set-up is charged
+one check and one inner decode per constraint. The output is packed from the word's final
 1-positions (`BitVector.from_bytes01`, per 1 on a sparse word), so a decode
 converts its word per 1-bit, not per coordinate. No decode makes a
 whole-word pass: flipping a variable updates only the adjacent constraints,
@@ -43,9 +47,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+from typing import AbstractSet
 
 from .gf2 import BitVector
 from .tanner import TannerCode
+
+_EMPTY = frozenset()
 
 
 class DecodeFailure(Exception):
@@ -190,9 +197,12 @@ class OpCounters:
     constraint), `apply_flips` (each constraint next to the flips) and
     `_final_inner_pass` (each one it takes) charge one of each per constraint,
     whose kept syndrome is its check and, by one lookup that also re-aims
-    its vote, its inner decode. Uncounted: the vote views' counts over the
-    kept targets (per search node and per randomized iteration) and the
-    closing membership check."""
+    its vote, its inner decode. Uncounted: the vote views' work (per search
+    node and per randomized iteration: the stored targets counted once, and
+    again after a wide flip dropped the counts, and the voted variables
+    grouped into buckets on each read; patching the counts costs per
+    constraint a flip touches, whose check is counted) and the closing
+    membership check."""
 
     checks: int = 0
     inner_decodes: int = 0
@@ -222,9 +232,15 @@ class DecodeState:
 
     `targets` is a read-only view of `_tgt`; `votes` maps each variable with
     at least one vote to its count, and `buckets[m]` holds the variables
-    with exactly m votes (`buckets[0]` stays empty). Those two are counted
-    afresh from the kept targets on every read, reading no neighborhood; a
-    caller reads each once per word.
+    with exactly m votes (`buckets[0]` stays empty). Both read `_counts`,
+    which is None or a dict equal to `Counter(_tgt.values())`, reading no
+    neighborhood. It is counted on the first read after set-up and then
+    kept: `apply_flips` patches it from the old and new targets of the
+    constraints it touches, the set it charges, unless it touches more
+    than an eighth as many constraints as hold a target. Then patching
+    would cost about as much as counting again, so the counts are dropped,
+    and the next read counts them off the targets. `buckets` is grouped from
+    the counts on each read; a state with no targets returns at once.
 
     A flip, `_flip`, walks each flipped variable's edges once. It XORs the
     variable's byte, and on the edge from v to u, j being v's slot in u's
@@ -232,14 +248,18 @@ class DecodeState:
     the syndrome of the unit vector at j into u's syndrome s and re-aims
     u's vote: no vote if s is 0 or not in `vote_slots`, v itself if
     `vote_slots[s]` is j, and otherwise `right_adj[u][vote_slots[s]]`, the
-    one neighborhood read left. On a sparse word only a constraint next to
-    two flipped variables reaches that read. No restriction is read, and
-    the end state does not depend on the order of the edges: each entry is
-    a function of the constraint's final syndrome.
+    one neighborhood read left. A constraint with no `_syn` entry goes
+    straight to the column syndrome and a vote for v: d0 >= 3 and t >= 1
+    (both checked), so a unit error is its own coset leader and votes for
+    its own slot. On a sparse word only a constraint next to two
+    flipped variables reaches the neighborhood read. No restriction is
+    read, and the end state does not depend on the order of the edges:
+    each entry is a function of the constraint's final syndrome.
 
     Set-up is the flip of supp(x) from the zero word, whose state is the
-    initial one: every syndrome 0, so `_syn` and `_tgt` are empty. It reads
-    the 1-positions from x's packed bits and flips them, so only the
+    initial one: every syndrome 0, so `_syn` and `_tgt` are empty, and no
+    counts are kept. It reads the 1-positions from x's packed bits and
+    flips them, so only the
     constraints next to the 1-coordinates of x get an entry, at most
     c * |x| of them, and only those it meets twice or more can read their
     neighborhood. It never makes a whole-word pass and charges no flips. It
@@ -256,6 +276,11 @@ class DecodeState:
         shape = (graph.c, graph.d, code.inner.d0, code.n)
         if (params.c, params.d, params.d0, params.n) != shape:
             raise ValueError(f"params were derived for another code than (c, d, d0, n) = {shape}")
+        if code.inner.d0 < 3 or params.t < 1:
+            raise ValueError(
+                f"flip decoding needs d0 >= 3 and t >= 1, got d0 = {code.inner.d0} "
+                f"and t = {params.t}: a unit error must vote for its own slot"
+            )
         self.code = code
         self.params = params
         self._c = graph.c
@@ -267,6 +292,7 @@ class DecodeState:
         self.x = bytearray(x.n)
         self._syn = {}
         self._tgt = {}
+        self._counts = None
         self._flip(x.indices())
         self.ops = OpCounters(checks=graph.n_right, inner_decodes=graph.n_right)
 
@@ -288,17 +314,31 @@ class DecodeState:
 
     @property
     def votes(self) -> Counter:
-        """Each variable's vote count, for the variables with a vote,
-        counted off the kept targets."""
-        return Counter(self._tgt.values())
+        """Each variable's vote count, for the variables with a vote: a copy
+        of the kept counts."""
+        return Counter(self._vote_counts())
 
     @property
-    def buckets(self) -> list[set[int]]:
-        """`buckets[m]` is the set of variables with exactly m votes."""
-        buckets = [set() for _ in range(self._c + 1)]
-        for v, m in self.votes.items():
-            buckets[m].add(v)
+    def buckets(self) -> list[AbstractSet[int]]:
+        """`buckets[m]` is the set of variables with exactly m votes, grouped
+        from the kept counts; the empty ones are one shared frozenset."""
+        buckets = [_EMPTY] * (self._c + 1)
+        if self._tgt:
+            counts = self._vote_counts()
+            for m in set(counts.values()):
+                buckets[m] = set()
+            for v, m in counts.items():
+                buckets[m].add(v)
         return buckets
+
+    def _vote_counts(self) -> dict[int, int]:
+        """The kept counts, counted off the targets first if none are kept:
+        a plain dict, whose item reads and writes the interpreter runs
+        faster than a `Counter`'s in the patch loops."""
+        counts = self._counts
+        if counts is None:
+            counts = self._counts = dict(Counter(self._tgt.values()))
+        return counts
 
     def x_vector(self) -> BitVector:
         return BitVector.from_bytes01(self.x)
@@ -314,7 +354,11 @@ class DecodeState:
             x[v] ^= 1
             edge = v * c
             for u, j in zip(left_adj[v], slots[edge : edge + c]):
-                s = syn.get(u, 0) ^ columns[j]
+                if u not in syn:  # a unit error: its own leader (d0 >= 3)
+                    syn[u] = columns[j]
+                    tgt[u] = v
+                    continue
+                s = syn[u] ^ columns[j]
                 if s:
                     syn[u] = s
                     k = vote_slots.get(s)
@@ -324,23 +368,46 @@ class DecodeState:
                         tgt.pop(u, None)
                     else:
                         tgt[u] = right_adj[u][k]
-                else:  # columns are nonzero (d0 > 1), so u had an entry
+                else:  # u held the unit syndrome columns[j], which votes
                     del syn[u]
-                    tgt.pop(u, None)
+                    del tgt[u]
 
     def apply_flips(self, vs) -> list[int]:
         """Flip the given variables and bring the adjacent constraints up
         to date, charging one check and one inner decode per distinct
-        constraint next to them."""
+        constraint next to them. Kept vote counts are patched from those
+        constraints' old and new targets; they are dropped instead when
+        the flip touches more than an eighth as many constraints as hold a
+        target. A patch costs about five counts per touched constraint, paid
+        again by the undo of a search flip, so the two break even near a
+        tenth; the eighth was picked near that, not tuned."""
         flipped = sorted(vs)
         if not flipped:
             return flipped
-        touched = len(set().union(*map(self._left_adj.__getitem__, flipped)))
+        touched = set().union(*map(self._left_adj.__getitem__, flipped))
         ops = self.ops
         ops.flips += len(flipped)
-        ops.checks += touched
-        ops.inner_decodes += touched
+        ops.checks += len(touched)
+        ops.inner_decodes += len(touched)
+        counts, tgt = self._counts, self._tgt
+        if counts is None or 8 * len(touched) > len(tgt):
+            self._counts = None
+            self._flip(flipped)
+            return flipped
+        for u in touched:
+            if u in tgt:
+                v = tgt[u]
+                m = counts[v] - 1
+                if m:
+                    counts[v] = m
+                else:
+                    del counts[v]
         self._flip(flipped)
+        get = counts.get
+        for u in touched:
+            if u in tgt:
+                v = tgt[u]
+                counts[v] = get(v, 0) + 1
         return flipped
 
 
@@ -390,15 +457,18 @@ def hard_search(state: DecodeState) -> None:
     generators are dropped. The main loop keeps a stack of these generators,
     so no recursion is involved.
 
-    Each node entered below s0 counts its buckets off the stored targets
-    once (`DecodeState.buckets`), reading no neighborhood, and hands them to
-    its chain. They stay exact for the whole chain: every child flip is
-    undone before the chain flips its next digit, so the chain's word holds.
-    This read is not charged to the counters. A node stores at most one
-    target per failing constraint, and every entered node but the root
-    passed a bound, so its |U| is at most c*gamma*n; a call reads at most
-    |U| + ops.nodes * c*gamma*n stored targets, |U| being the root's count
-    and ops.nodes the nodes the call counts.
+    Each node entered below s0 reads its buckets once
+    (`DecodeState.buckets`), reading no neighborhood, and hands them to its
+    chain. They stay exact for the whole chain: every child flip is undone
+    before the chain flips its next digit, so the chain's word holds. The
+    buckets are grouped from vote counts that are counted once and then
+    patched by each flip (`DecodeState`), so a read costs the node's voted
+    variables, plus a count of its stored targets when a wide flip dropped
+    the counts. This read is not charged to the counters. A node stores at
+    most one target per failing constraint, and every entered node but the
+    root passed a bound, so its |U| is at most c*gamma*n; a call reads at
+    most |U| + ops.nodes * c*gamma*n stored targets, |U| being the root's
+    count and ops.nodes the nodes the call counts.
 
     The generators add no flip or node that these shortcuts do not call
     for, yet a call can cost more than its real bucket flips plus O(c) per
@@ -419,7 +489,7 @@ def hard_search(state: DecodeState) -> None:
         """Largest k <= s0 whose pruning bound u meets, or -1."""
         return table[u] if u < len(table) else -1
 
-    def chain(depth: int, buckets: list[set[int]]):
+    def chain(depth: int, buckets: list[AbstractSet[int]]):
         """Walk levels depth..top of the current word, whose buckets are
         `buckets`, yielding the depth of each child to enter."""
         e = next((m for m in range(1, c + 1) if not buckets[m]), c + 1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import AbstractSet, Callable
 
 try:  # the C module alone: importing hashlib also loads OpenSSL
     from _blake2 import blake2b
@@ -95,7 +95,7 @@ def iteration_draw(seed: int, iteration: int) -> Callable[[int], float]:
 
 
 def sample_flip_set(
-    buckets: list[set[int]], c: int, draw: Callable[[int], float]
+    buckets: list[AbstractSet[int]], c: int, draw: Callable[[int], float]
 ) -> set[int]:
     """Pick each m-vote variable independently with probability m/(2c)."""
     picked: set[int] = set()

@@ -402,6 +402,75 @@ class TestDecodeState:
         with pytest.raises(ValueError, match="params were derived for"):
             tf.main_decode(big_code, p, x)
 
+    def test_rejects_a_unit_error_without_a_vote(self, k32_code, k32_params):
+        # a fresh syndrome is set in one step to the column and a vote for
+        # the flipped variable, which holds only when a unit error is its
+        # own coset leader (d0 >= 3) and leaders of weight 1 vote (t >= 1);
+        # derive_params yields neither failure, a hand-built schedule can
+        parity = TannerCode(k32_code.graph, parity_check_code(3))
+        assert parity.inner.d0 == 2 and not parity.inner.vote_slots(1)
+        x = BitVector.from_text("100")
+        cases = [(parity, dataclasses.replace(k32_params, d0=2)),
+                 (k32_code, dataclasses.replace(k32_params, t=0))]
+        for code, params in cases:
+            with pytest.raises(ValueError, match="d0 >= 3 and t >= 1"):
+                tf.DecodeState(code, params, x)
+            with pytest.raises(ValueError, match="d0 >= 3 and t >= 1"):
+                tf.main_decode(code, params, x)
+
+    def test_kept_counts_are_patched_or_dropped(self, big_code, big_params):
+        # the counts are counted on the first read, then each small flip
+        # patches the same object from the touched constraints' targets:
+        # a constraint met twice in one pass, an immediate undo, single
+        # variables and voted ones, on codes with t = 1 and t = 2 whose
+        # votes can aim away from the flipped variable
+        rng = random.Random(32)
+        cases = [
+            (big_code, big_params),
+            (TannerCode(tf.gen_random_biregular(3, 12, 2400, seed=0),
+                        wide_small_code()[0].inner),
+             tf.derive_params(3, 12, 0.25, 0.8, 4, 2400)),
+            (TannerCode(tf.gen_random_biregular(2, 8, 1280, seed=3), ext_hamming_inner()),
+             tf.derive_params(2, 8, 0.3, 1.0, 4, 1280)),
+            (TannerCode(tf.gen_random_biregular(2, 6, 600, seed=4), repetition_code(6)),
+             tf.derive_params(2, 6, 0.3, 0.5, 6, 600)),
+        ]
+        assert cases[-1][1].t == 2
+        for code, params in cases:
+            graph = code.graph
+            # about one error per restriction, so that many constraints vote
+            x = BitVector.from_indices(code.n, rng.sample(range(code.n), code.n // graph.d))
+            st = tf.DecodeState(code, params, x)
+            assert st._counts is None
+            st.buckets
+            counts = st._counts
+            assert counts == Counter(st.targets.values())
+
+            def flip(vs):
+                st.apply_flips(vs)
+                assert st._counts is counts  # patched, not counted again
+                assert dict(counts) == Counter(st.targets.values())
+                assert_state_consistent(st, code, params)
+
+            assert len(st.targets) > 3 * 8 * 2 * graph.c  # room for 2-variable patches
+            for u in rng.sample(range(graph.n_right), 3):
+                pair = graph.right_adj[u][:2]
+                flip(pair)
+                flip(pair)
+            for _ in range(4):
+                v = rng.choice(sorted(st.votes))
+                flip([v])
+                flip([v, rng.randrange(code.n)])
+            for _ in range(8):
+                flip([rng.randrange(code.n)])
+            # a flip that touches most voting constraints drops the counts,
+            # and the next read counts them again
+            wide = sorted({graph.right_adj[u][0] for u in st.targets})
+            st.apply_flips(wide)
+            assert st._counts is None
+            assert_state_consistent(st, code, params)
+            assert dict(st._counts) == Counter(st.targets.values())
+
 
 class TestEasyFlip:
     def test_flips_double_voted_vertex(self, k32_code, k32_params):
@@ -773,6 +842,41 @@ def test_pinned_decodes(big_code, big_params):
         c = report.ops
         assert (c.checks, c.inner_decodes, c.flips, c.nodes) == ops, (weight, seed)
         assert (out == zero) if outcome == "codeword" else out is None
+
+
+# 55 errors on the seed-1 (12,8) graph at n=32000 with the [8,4,4] inner
+# code, hill-climbed from random positions by moving one error next to
+# another while the search's nodes did not fall: an input at the radius
+# floor(gamma*n) = 55 whose search walks 7,389 nodes, where a random one
+# walks about 5.
+CLIMBED_32000 = [
+    163, 179, 2246, 2773, 2778, 2945, 4279, 5063, 5119, 5215, 5916, 6179,
+    6282, 6464, 7059, 7186, 7489, 7704, 8469, 8999, 11420, 11494, 11627,
+    12328, 13192, 13350, 13597, 14627, 14914, 15889, 16199, 16852, 17081,
+    18161, 18183, 18493, 19247, 19790, 20395, 21223, 21526, 23422, 24755,
+    25185, 25797, 27102, 27125, 27801, 28419, 28508, 29030, 29903, 30655,
+    30781, 31099,
+]
+
+
+def test_pinned_climbed_decode():
+    n = 32000
+    code = TannerCode(tf.gen_random_biregular(12, 8, n, seed=1), ext_hamming_inner())
+    params = tf.derive_params(12, 8, 0.02, 0.8, 4, n)
+    assert len(CLIMBED_32000) == math.floor(params.gamma * n)
+    report = tf.DecodeReport()
+    out = tf.main_decode(code, params, BitVector.from_indices(n, CLIMBED_32000), report=report)
+    assert out == BitVector.zeros(n)
+    assert report.to_dict() == {
+        "input_weight": 55,
+        "rounds_used": 4,
+        "unsat_per_round": [604, 355, 213, 33, 0],
+        "checks": 225675,
+        "inner_decodes": 225675,
+        "flips": 14809,
+        "nodes": 7389,
+        "outcome": "codeword",
+    }
 
 
 class TestMainDecode:
