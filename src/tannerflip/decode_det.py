@@ -21,9 +21,9 @@ neighborhood. The vote counts are counted off the kept targets on the
 first read after set-up and then kept: a flip patches them from the old and
 new targets of the constraints it touches, or drops them when it touches a
 large share of the voting constraints, to be counted afresh on the next
-read. The buckets are grouped from the counts on each read. The maps hold
-only nonzero entries, so a decode allocates nothing per coordinate beyond
-its word. Set-up is the flip of the received word's support, read from its
+read. The buckets are grouped in one pass over the counts on each read.
+The maps hold only nonzero entries, so a decode allocates nothing per
+coordinate beyond its word. Set-up is the flip of the received word's support, read from its
 packed bits (`BitVector.indices`), from the zero word: every constraint away
 from the support passes by linearity, and one first met takes the flipped
 variable's column syndrome and votes for it, in one step. Set-up is charged
@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -199,10 +199,10 @@ class OpCounters:
     whose kept syndrome is its check and, by one lookup that also re-aims
     its vote, its inner decode. Uncounted: the vote views' work (per search
     node and per randomized iteration: the stored targets counted once, and
-    again after a wide flip dropped the counts, and the voted variables
-    grouped into buckets on each read; patching the counts costs per
-    constraint a flip touches, whose check is counted) and the closing
-    membership check."""
+    again after a wide flip dropped the counts, in one C-level pass each
+    time, and the voted variables grouped into buckets in one pass over the
+    counts on each read; patching the counts costs per constraint a flip
+    touches, whose check is counted) and the closing membership check."""
 
     checks: int = 0
     inner_decodes: int = 0
@@ -233,14 +233,16 @@ class DecodeState:
     `targets` is a read-only view of `_tgt`; `votes` maps each variable with
     at least one vote to its count, and `buckets[m]` holds the variables
     with exactly m votes (`buckets[0]` stays empty). Both read `_counts`,
-    which is None or a dict equal to `Counter(_tgt.values())`, reading no
-    neighborhood. It is counted on the first read after set-up and then
-    kept: `apply_flips` patches it from the old and new targets of the
-    constraints it touches, the set it charges, unless it touches more
-    than an eighth as many constraints as hold a target. Then patching
+    which is None or a plain dict equal to `Counter(_tgt.values())`,
+    reading no neighborhood. It is counted on the first read after set-up,
+    by the C loop that `Counter.update` runs, and then kept: `apply_flips`
+    patches it from the old and new targets of the constraints it touches,
+    the set it charges, unless it touches more than an eighth as many
+    constraints as hold a target. Then patching
     would cost about as much as counting again, so the counts are dropped,
-    and the next read counts them off the targets. `buckets` is grouped from
-    the counts on each read; a state with no targets returns at once.
+    and the next read counts them off the targets. `buckets` is grouped in
+    one pass over the counts on each read; a state with no targets returns
+    at once.
 
     A flip, `_flip`, walks each flipped variable's edges once. It XORs the
     variable's byte, and on the edge from v to u, j being v's slot in u's
@@ -321,23 +323,31 @@ class DecodeState:
     @property
     def buckets(self) -> list[AbstractSet[int]]:
         """`buckets[m]` is the set of variables with exactly m votes, grouped
-        from the kept counts; the empty ones are one shared frozenset."""
+        in one pass over the kept counts, which makes a bucket's set when its
+        first variable arrives; the empty ones are one shared frozenset."""
         buckets = [_EMPTY] * (self._c + 1)
         if self._tgt:
-            counts = self._vote_counts()
-            for m in set(counts.values()):
-                buckets[m] = set()
-            for v, m in counts.items():
-                buckets[m].add(v)
+            for v, m in self._vote_counts().items():
+                bucket = buckets[m]
+                if bucket is _EMPTY:
+                    bucket = buckets[m] = set()
+                bucket.add(v)
         return buckets
 
     def _vote_counts(self) -> dict[int, int]:
         """The kept counts, counted off the targets first if none are kept:
         a plain dict, whose item reads and writes the interpreter runs
-        faster than a `Counter`'s in the patch loops."""
+        faster than a `Counter`'s in the patch loops. It is counted into
+        directly by `collections._count_elements`, the C loop of
+        `Counter.update`, with no `Counter` built and copied: about 1.0
+        against 1.8 us on 24 targets, the weight-1 to 3 inputs at n=2000,
+        but 25 against 21 us on 650 targets, where each insert into a dict
+        that holds only ints also checks whether to start tracking it for the
+        cyclic collector; that is under 1% of such a decode."""
         counts = self._counts
         if counts is None:
-            counts = self._counts = dict(Counter(self._tgt.values()))
+            counts = self._counts = {}
+            _count_elements(counts, self._tgt.values())
         return counts
 
     def x_vector(self) -> BitVector:
@@ -373,18 +383,25 @@ class DecodeState:
                     del tgt[u]
 
     def apply_flips(self, vs) -> list[int]:
-        """Flip the given variables and bring the adjacent constraints up
-        to date, charging one check and one inner decode per distinct
-        constraint next to them. Kept vote counts are patched from those
-        constraints' old and new targets; they are dropped instead when
-        the flip touches more than an eighth as many constraints as hold a
-        target. A patch costs about five counts per touched constraint, paid
-        again by the undo of a search flip, so the two break even near a
-        tenth; the eighth was picked near that, not tuned."""
-        flipped = sorted(vs)
-        if not flipped:
-            return flipped
-        touched = set().union(*map(self._left_adj.__getitem__, flipped))
+        """Flip the given variables (a sized collection) and bring the
+        adjacent constraints up to date, charging one check and one inner
+        decode per distinct constraint next to them: for one variable, its
+        `left_adj` row as it stands, which holds distinct constraints since
+        `BipartiteGraph` rejects a repeated neighbor. Kept vote counts are
+        patched from those constraints' old and new targets; they are
+        dropped instead when the flip touches more than an eighth as many
+        constraints as hold a target. A patch costs about five counts per
+        touched constraint, paid again by the undo of a search flip, so the
+        two break even near a tenth; the eighth was picked near that, not
+        tuned."""
+        if len(vs) == 1:  # a simple graph: its row is distinct constraints
+            flipped = list(vs)
+            touched = self._left_adj[flipped[0]]
+        else:
+            flipped = sorted(vs)
+            if not flipped:
+                return flipped
+            touched = set().union(*map(self._left_adj.__getitem__, flipped))
         ops = self.ops
         ops.flips += len(flipped)
         ops.checks += len(touched)
@@ -446,12 +463,14 @@ def hard_search(state: DecodeState) -> None:
       down to top = min(s0, largest k whose bound |U| meets), read in O(1)
       from the reach table `prune_bounds` at the integer |U|.
 
-    Each chain is one generator, `chain(depth, buckets)`. Going down, it
-    tries the digits before e level by level while one of them can still
-    pass one level deeper; it yields the leaf at s0 when the chain reaches
-    s0; going back up, it tries the digits after e, jumping to the deepest
-    level where one of them passes. Its `children` flips one bucket at a time, caches
-    the largest k at which the result passes, yields the child's depth when
+    Each chain is one generator, `chain(depth, buckets)`. It finds e with
+    a plain loop. Going down, it tries the digits before e level by level
+    while one of them can still pass one level deeper (with e = 1, usual on
+    a sparse word, there is none, so no down-walk runs); it yields the leaf
+    at s0 when the chain reaches s0; going back up, it tries the digits
+    after e, jumping to the deepest level where one of them passes. Its
+    `children` flips one bucket at a time, caches the largest k at which
+    the result passes, yields the child's depth when
     the flip passes, and undoes the flip when the walk resumes it; it has no
     try/finally, which would undo the accepted sequence as the suspended
     generators are dropped. The main loop keeps a stack of these generators,
@@ -461,14 +480,15 @@ def hard_search(state: DecodeState) -> None:
     (`DecodeState.buckets`), reading no neighborhood, and hands them to its
     chain. They stay exact for the whole chain: every child flip is undone
     before the chain flips its next digit, so the chain's word holds. The
-    buckets are grouped from vote counts that are counted once and then
-    patched by each flip (`DecodeState`), so a read costs the node's voted
-    variables, plus a count of its stored targets when a wide flip dropped
-    the counts. This read is not charged to the counters. A node stores at
-    most one target per failing constraint, and every entered node but the
-    root passed a bound, so its |U| is at most c*gamma*n; a call reads at
-    most |U| + ops.nodes * c*gamma*n stored targets, |U| being the root's
-    count and ops.nodes the nodes the call counts.
+    buckets are grouped in one pass over vote counts that are counted once
+    and then patched by each flip (`DecodeState`), so a read costs the
+    node's voted variables, plus a count of its stored targets when a wide
+    flip dropped the counts. This read is not charged to the counters. A
+    node stores at most one target per failing constraint, and every
+    entered node but the root passed a bound, so its |U| is at most
+    c*gamma*n; a call reads at most |U| + ops.nodes * c*gamma*n stored
+    targets, |U| being the root's count and ops.nodes the nodes the call
+    counts.
 
     The generators add no flip or node that these shortcuts do not call
     for, yet a call can cost more than its real bucket flips plus O(c) per
@@ -482,8 +502,10 @@ def hard_search(state: DecodeState) -> None:
     s0 = params.s0
     c = state.code.graph.c
     table = params.prune_bounds
-    accept_limit = params.eps4 * state.unsat_count
+    syn = state._syn  # |U| is len(syn)
+    accept_limit = params.eps4 * len(syn)
     ops = state.ops
+    apply_flips = state.apply_flips
 
     def reach(u: int) -> int:
         """Largest k <= s0 whose pruning bound u meets, or -1."""
@@ -492,30 +514,33 @@ def hard_search(state: DecodeState) -> None:
     def chain(depth: int, buckets: list[AbstractSet[int]]):
         """Walk levels depth..top of the current word, whose buckets are
         `buckets`, yielding the depth of each child to enter."""
-        e = next((m for m in range(1, c + 1) if not buckets[m]), c + 1)
-        top = max(depth, reach(state.unsat_count)) if e <= c else depth
+        e = 1
+        while e <= c and buckets[e]:
+            e += 1
+        top = max(depth, reach(len(syn))) if e <= c else depth
         last = min(top, s0 - 1)
-        before = range(1, e)
         after = [m for m in range(e + 1, c + 1) if buckets[m]]
         known = [s0 + 1] * (c + 1)  # reach after flipping m, once tried
 
         def children(level: int, digits):
             for m in digits:
                 if known[m] > level:
-                    flipped = state.apply_flips(buckets[m])
-                    known[m] = k = reach(state.unsat_count)
+                    flipped = apply_flips(buckets[m])
+                    known[m] = k = reach(len(syn))
                     if k > level:
                         # no try/finally: once a leaf accepts, the dropped
                         # generators must not undo the accepted sequence
                         yield level + 1
-                    state.apply_flips(flipped)
+                    apply_flips(flipped)
 
-        level = depth  # down, while a digit before e can pass one level deeper
-        yield from children(level, before)
-        while level < last and any(known[m] > level + 1 for m in before):
-            level += 1
-            ops.nodes += 1
+        level = depth
+        if e > 1:  # down, while a digit before e can pass one level deeper
+            before = range(1, e)
             yield from children(level, before)
+            while level < last and any(known[m] > level + 1 for m in before):
+                level += 1
+                ops.nodes += 1
+                yield from children(level, before)
         if top == s0:  # the leaf
             yield s0
         if level != last:
@@ -540,7 +565,7 @@ def hard_search(state: DecodeState) -> None:
                 stack.append(chain(depth, buckets))
                 return False
         # a frozen node's word must also meet every bound down to s0
-        unsat = state.unsat_count
+        unsat = len(syn)
         if unsat > accept_limit or reach(unsat) != s0:
             return False
         return True
@@ -613,18 +638,19 @@ def main_decode(
     report.input_weight = weight
     report.ops = state.ops
     report.rounds_used = 0
-    report.unsat_per_round = [state.unsat_count]
+    syn = state._syn  # |U| is len(syn)
+    report.unsat_per_round = [len(syn)]
     report.outcome = "failed"
     try:
         for _ in range(params.ell):
-            if state.unsat_count == 0:
+            if not syn:
                 break
             hard_search(state)
             report.rounds_used += 1
-            report.unsat_per_round.append(state.unsat_count)
-        if state.unsat_count:
+            report.unsat_per_round.append(len(syn))
+        if syn:
             _final_inner_pass(state)
-        if state.unsat_count or code.failing_constraints(state.x):
+        if syn or code.failing_constraints(state.x):
             raise DecodeFailure("output fails the membership check")
     except DecodeFailure as exc:
         report.outcome = exc.outcome

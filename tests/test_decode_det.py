@@ -471,6 +471,69 @@ class TestDecodeState:
             assert_state_consistent(st, code, params)
             assert dict(st._counts) == Counter(st.targets.values())
 
+    def test_one_variable_flip(self, big_code, big_params):
+        # a lone variable's touched set is its left_adj row as it stands:
+        # each flip charges c checks, c inner decodes and one flip, and
+        # leaves the state set-up would build from the flipped word, with
+        # its counts patched when kept and counted afresh after a drop
+        code, params, graph = big_code, big_params, big_code.graph
+        c = graph.c
+        rng = random.Random(33)
+        x = BitVector.from_indices(code.n, rng.sample(range(code.n), code.n // graph.d))
+        st = tf.DecodeState(code, params, x)
+        word = bytes(st.x)
+        u, t = min(st.targets.items())
+        away = min(set(graph.right_adj[u]) - {t})  # next to u, whose vote is t's
+        voted = rng.choice(sorted(st.targets.values()))
+        wide = sorted({graph.right_adj[u][0] for u in st.targets})
+
+        def flip(vs, kept):
+            counts = st._counts
+            assert (counts is not None) == kept
+            ops = st.ops.copy()
+            assert st.apply_flips(vs) == list(vs)
+            assert st.ops == tf.OpCounters(
+                ops.checks + c, ops.inner_decodes + c, ops.flips + 1, ops.nodes
+            )
+            assert st._counts is counts  # patched in place, or still dropped
+            ref = reference_setup(code, params, st.x_vector())
+            assert st._syn == ref._syn
+            assert st.unsat == ref.unsat
+            assert st.targets == ref.targets
+            assert st.votes == ref.votes
+            assert st.buckets == ref.buckets
+            assert st._counts == Counter(st.targets.values())
+
+        for v in (away, voted, rng.randrange(code.n)):
+            st.buckets
+            flip([v], kept=True)
+            st.apply_flips(wide)  # drops the counts
+            st.apply_flips(wide)
+            flip({v}, kept=False)
+            assert bytes(st.x) == word
+        for empty in ([], set(), ()):
+            ops = st.ops.copy()
+            assert st.apply_flips(empty) == []
+            assert st.ops == ops
+        assert bytes(st.x) == word
+
+    def test_kept_counts_are_a_plain_dict(self, big_code, big_params):
+        # the patch loops index the counts, which the interpreter runs
+        # faster on a dict than on a subclass such as Counter
+        graph = big_code.graph
+        x = corrupt(BitVector.zeros(big_code.n), big_code.n // graph.d, seed=34)
+        st = tf.DecodeState(big_code, big_params, x)
+        st.buckets
+        counts = st._counts
+        assert type(counts) is dict  # counted after set-up
+        st.apply_flips([min(st.targets.values())])
+        assert st._counts is counts and type(counts) is dict  # patched
+        st.apply_flips(sorted({graph.right_adj[u][0] for u in st.targets}))
+        assert st._counts is None  # dropped
+        st.buckets
+        assert type(st._counts) is dict  # counted again
+        assert st._counts == Counter(st.targets.values())
+
 
 class TestEasyFlip:
     def test_flips_double_voted_vertex(self, k32_code, k32_params):
