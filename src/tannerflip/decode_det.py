@@ -246,7 +246,7 @@ class DecodeState:
 
     A flip, `_flip`, walks each flipped variable's edges once. It XORs the
     variable's byte, and on the edge from v to u, j being v's slot in u's
-    neighborhood (read from the graph's per-edge `slots` table), it XORs
+    neighborhood (read from v's row of the graph's `slots`), it XORs
     the syndrome of the unit vector at j into u's syndrome s and re-aims
     u's vote: no vote if s is 0 or not in `vote_slots`, v itself if
     `vote_slots[s]` is j, and otherwise `right_adj[u][vote_slots[s]]`, the
@@ -356,14 +356,13 @@ class DecodeState:
     def _flip(self, vs) -> None:
         """Flip each variable in vs, XOR its column syndromes into the
         syndromes of the constraints next to it and re-aim their votes, one
-        pass over its edges."""
-        left_adj, slots, c = self._left_adj, self._slots, self._c
+        pass over its edges: its `left_adj` row zipped with its slot row."""
+        left_adj, slots = self._left_adj, self._slots
         x, syn, columns = self.x, self._syn, self._column_syndromes
         tgt, vote_slots, right_adj = self._tgt, self._vote_slots, self._right_adj
         for v in vs:
             x[v] ^= 1
-            edge = v * c
-            for u, j in zip(left_adj[v], slots[edge : edge + c]):
+            for u, j in zip(left_adj[v], slots[v]):
                 if u not in syn:  # a unit error: its own leader (d0 >= 3)
                     syn[u] = columns[j]
                     tgt[u] = v

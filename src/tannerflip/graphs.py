@@ -9,7 +9,6 @@ from __future__ import annotations
 import gc
 import math
 import random
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,9 +70,13 @@ class BipartiteGraph:
             if len(nb) != d:
                 raise ValueError(f"right vertex {u} has degree {len(nb)}, expected {d}")
         self.right_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, right))
-        # edge k of left vertex v, to u = left_adj[v][k], sits at entry
-        # v * c + k: v's position in right_adj[u], one byte while d <= 256
-        self.slots = array("B" if d <= 256 else "L", slots)
+        # slots[v][k] is v's position in right_adj[u], u = left_adj[v][k]: a
+        # row per left vertex, bytes while d <= 256, cut from one flat copy
+        # after the loop so that the rows sit together in memory
+        flat = bytes(slots) if d <= 256 else tuple(slots)
+        self.slots: tuple[bytes | tuple[int, ...], ...] = tuple(
+            flat[start:start + c] for start in range(0, c * n_left, c)
+        )
 
     @cached_property
     def left_masks(self) -> tuple[int, ...]:

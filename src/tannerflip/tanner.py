@@ -87,16 +87,16 @@ class TannerCode:
     @cached_property
     def generator(self) -> tuple[BitVector, ...]:
         """The kernel basis of the stacked checks, as `nullspace_basis` gives
-        it; column v is one pass over v's edges, each slot's inner column
-        syndrome shifted to its constraint's r rows, reduced as it is made."""
-        c, r = self.graph.c, self.inner.h.rows
-        syndromes, slots = self.inner.column_syndromes, self.graph.slots
+        it; column v is one pass over v's `left_adj` row zipped with its
+        slot row, each slot's inner column syndrome shifted to its
+        constraint's r rows, reduced as it is made."""
+        r, syndromes, graph = self.inner.h.rows, self.inner.column_syndromes, self.graph
 
         def columns() -> Iterator[int]:
-            for v, nb in enumerate(self.graph.left_adj):
+            for nb, row in zip(graph.left_adj, graph.slots):
                 column = 0
-                for edge, u in enumerate(nb, v * c):
-                    column |= syndromes[slots[edge]] << (r * u)
+                for u, j in zip(nb, row):
+                    column |= syndromes[j] << (r * u)
                 yield column
 
         return tuple(_column_kernel(columns(), self.n))

@@ -942,6 +942,34 @@ def test_pinned_climbed_decode():
     }
 
 
+# 13 errors on the seed-1 (12,8) graph at n=8000, climbed the same way from
+# random.Random(11)'s sample with a budget of 100,000 decodes: its search
+# walks 37 nodes over 3 rounds, where random inputs walk at most 7, and its
+# flips re-aim a constraint's vote through right_adj 49 times, against about
+# once for a random input.
+CLIMBED_8000 = [106, 1158, 1760, 2025, 2766, 4234, 4919, 5070, 5076, 6702, 7034, 7513, 7765]
+
+
+def test_pinned_climbed_decode_8000():
+    n = 8000
+    code = TannerCode(tf.gen_random_biregular(12, 8, n, seed=1), ext_hamming_inner())
+    params = tf.derive_params(12, 8, 0.02, 0.8, 4, n)
+    assert len(CLIMBED_8000) == math.floor(params.gamma * n)
+    report = tf.DecodeReport()
+    out = tf.main_decode(code, params, BitVector.from_indices(n, CLIMBED_8000), report=report)
+    assert out == BitVector.zeros(n)
+    assert report.to_dict() == {
+        "input_weight": 13,
+        "rounds_used": 3,
+        "unsat_per_round": [143, 89, 24, 0],
+        "checks": 12554,
+        "inner_decodes": 12554,
+        "flips": 47,
+        "nodes": 37,
+        "outcome": "codeword",
+    }
+
+
 class TestMainDecode:
     def test_corrects_single_error(self, k32_code, k32_params):
         out = tf.main_decode(k32_code, k32_params, BitVector.from_text("100"))

@@ -148,14 +148,16 @@ SLOT_GRAPHS = {
 
 @pytest.mark.parametrize("name", list(SLOT_GRAPHS))
 def test_slots_record_each_edges_position(request, name):
-    # entry v*c + k is v's position in right_adj[u], u = left_adj[v][k]
+    # slots[v][k] is v's position in right_adj[u], u = left_adj[v][k]
     g = SLOT_GRAPHS[name](request)
-    assert len(g.slots) == g.n_left * g.c
-    expected = [g.right_adj[u].index(v) for v, nb in enumerate(g.left_adj) for u in nb]
-    assert list(g.slots) == expected
-    # one byte per edge while d <= 256; wider entries hold slots up to d - 1
-    assert (g.slots.itemsize == 1) == (g.d <= 256)
-    assert max(g.slots) == g.d - 1
+    assert len(g.slots) == g.n_left
+    expected = [[g.right_adj[u].index(v) for u in nb] for v, nb in enumerate(g.left_adj)]
+    assert [list(row) for row in g.slots] == expected
+    # bytes rows while d <= 256; tuple rows above that hold slots up to d - 1
+    row_type = bytes if g.d <= 256 else tuple
+    assert {type(row) for row in g.slots} == {row_type}
+    assert max(map(max, g.slots)) == g.d - 1
+    assert BipartiteGraph.from_text(g.to_text()).slots == g.slots
 
 
 @pytest.mark.parametrize(
