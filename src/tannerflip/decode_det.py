@@ -17,22 +17,19 @@ flipped variable's edges once, XORing one column syndrome of the inner code
 into each adjacent constraint's syndrome and re-aiming that constraint's
 vote by one lookup. A vote aimed at the edge's own slot is for the flipped
 variable, so only a vote aimed elsewhere reads the constraint's
-neighborhood. The vote counts are counted off the kept targets on the
-first read after set-up and then kept: a flip patches them from the old and
-new targets of the constraints it touches, or drops them when it touches a
-large share of the voting constraints, to be counted afresh on the next
-read. The buckets are grouped in one pass over the counts on each read.
+neighborhood. The vote counts are kept beside the targets (`DecodeState`).
 The maps hold only nonzero entries, so a decode allocates nothing per
-coordinate beyond its word. Set-up is the flip of the received word's support, read from its
-packed bits (`BitVector.indices`), from the zero word: every constraint away
-from the support passes by linearity, and one first met takes the flipped
-variable's column syndrome and votes for it, in one step. Set-up is charged
-one check and one inner decode per constraint. The output is packed from the word's final
-1-positions (`BitVector.from_bytes01`, per 1 on a sparse word), so a decode
-converts its word per 1-bit, not per coordinate. No decode makes a
-whole-word pass: flipping a variable updates only the adjacent constraints,
-and the closing membership check (`TannerCode.failing_constraints` on the
-output word) reads only the constraints next to the output's 1-coordinates.
+coordinate beyond its word. Set-up is the flip of the received word's
+support, read from its packed bits (`BitVector.indices`), from the zero
+word: every constraint away from the support passes by linearity, and one
+first met takes the flipped variable's column syndrome and votes for it, in
+one step. Set-up is charged one check per constraint. The output is packed
+from the word's final 1-positions (`BitVector.from_bytes01`, per 1 on a
+sparse word), so a decode converts its word per 1-bit, not per coordinate.
+No decode makes a whole-word pass: flipping a variable updates only the
+adjacent constraints, and the closing membership check
+(`TannerCode.failing_constraints` on the output word) reads only the
+constraints next to the output's 1-coordinates.
 The search walk runs each chain of empty-bucket (no-op) levels as one
 generator, so it flips no bucket for a no-op level; `hard_search` says where
 a call can cost more than its bucket flips; `OpCounters`, what is uncounted.
@@ -193,27 +190,26 @@ class OpCounters:
     """Work counters; `nodes` counts the levels hard_search's walk stands on
     to try digits, plus each leaf it decides.
 
-    `checks` and `inner_decodes` are equal in every report: set-up (every
-    constraint), `apply_flips` (each constraint next to the flips) and
-    `_final_inner_pass` (each one it takes) charge one of each per constraint,
-    whose kept syndrome is its check and, by one lookup that also re-aims
-    its vote, its inner decode. Uncounted: the vote views' work (per search
-    node and per randomized iteration: the stored targets counted once, and
-    again after a wide flip dropped the counts, in one C-level pass each
-    time, and the voted variables grouped into buckets in one pass over the
-    counts on each read; patching the counts costs per constraint a flip
-    touches, whose check is counted) and the closing membership check."""
+    `checks` counts constraints examined: set-up charges every constraint,
+    `apply_flips` each constraint next to the flips and `_final_inner_pass`
+    each one it takes. A constraint's kept syndrome is its check and, by one
+    lookup that also re-aims its vote, its inner decode, so `inner_decodes`
+    is a read-only property equal to `checks`, and `total` counts each check
+    twice. Uncounted: the vote views' work (`DecodeState.votes` and
+    `buckets`, per search node and per randomized iteration; patching the
+    kept counts costs per constraint a flip touches, whose check is counted)
+    and the closing membership check."""
 
     checks: int = 0
-    inner_decodes: int = 0
     flips: int = 0
     nodes: int = 0
 
-    def total(self) -> int:
-        return self.checks + self.inner_decodes + self.flips + self.nodes
+    @property
+    def inner_decodes(self) -> int:
+        return self.checks
 
-    def copy(self) -> OpCounters:
-        return OpCounters(self.checks, self.inner_decodes, self.flips, self.nodes)
+    def total(self) -> int:
+        return 2 * self.checks + self.flips + self.nodes
 
 
 class DecodeState:
@@ -234,15 +230,16 @@ class DecodeState:
     at least one vote to its count, and `buckets[m]` holds the variables
     with exactly m votes (`buckets[0]` stays empty). Both read `_counts`,
     which is None or a plain dict equal to `Counter(_tgt.values())`,
-    reading no neighborhood. It is counted on the first read after set-up,
-    by the C loop that `Counter.update` runs, and then kept: `apply_flips`
-    patches it from the old and new targets of the constraints it touches,
-    the set it charges, unless it touches more than an eighth as many
-    constraints as hold a target. Then patching
-    would cost about as much as counting again, so the counts are dropped,
-    and the next read counts them off the targets. `buckets` is grouped in
-    one pass over the counts on each read; a state with no targets returns
-    at once.
+    reading no neighborhood. It is counted on the first read after set-up
+    (`_vote_counts`) and then kept: `apply_flips` patches it from the old
+    and new targets of the constraints it touches, the set it charges,
+    unless it touches more than an eighth as many constraints as hold a
+    target. Then the counts are dropped, and the next read counts them off
+    the targets: a patch costs about five counts per touched constraint,
+    paid again by the undo of a search flip, so patching and counting again
+    break even near a tenth; the eighth was picked near that, not tuned.
+    `buckets` is grouped in one pass over the counts on each read; a state
+    with no targets returns at once.
 
     A flip, `_flip`, walks each flipped variable's edges once. It XORs the
     variable's byte, and on the edge from v to u, j being v's slot in u's
@@ -253,19 +250,18 @@ class DecodeState:
     one neighborhood read left. A constraint with no `_syn` entry goes
     straight to the column syndrome and a vote for v: d0 >= 3 and t >= 1
     (both checked), so a unit error is its own coset leader and votes for
-    its own slot. On a sparse word only a constraint next to two
-    flipped variables reaches the neighborhood read. No restriction is
-    read, and the end state does not depend on the order of the edges:
-    each entry is a function of the constraint's final syndrome.
+    its own slot. On a sparse word only a constraint next to two flipped
+    variables reaches the neighborhood read. No restriction is read, and
+    the end state does not depend on the order of the edges: each entry is
+    a function of the constraint's final syndrome.
 
     Set-up is the flip of supp(x) from the zero word, whose state is the
     initial one: every syndrome 0, so `_syn` and `_tgt` are empty, and no
     counts are kept. It reads the 1-positions from x's packed bits and
-    flips them, so only the
-    constraints next to the 1-coordinates of x get an entry, at most
-    c * |x| of them, and only those it meets twice or more can read their
-    neighborhood. It never makes a whole-word pass and charges no flips. It
-    is still charged one check and one inner decode per constraint: it
+    flips them, so only the constraints next to the 1-coordinates of x get
+    an entry, at most c * |x| of them, and only those it meets twice or
+    more can read their neighborhood. It never makes a whole-word pass and
+    charges no flips. It is still charged one check per constraint: it
     decides every constraint's entry, those away from the support by
     linearity, and the flat charge keeps a report a function of the syndrome
     alone (decoding truth + e and e give equal reports).
@@ -296,7 +292,7 @@ class DecodeState:
         self._tgt = {}
         self._counts = None
         self._flip(x.indices())
-        self.ops = OpCounters(checks=graph.n_right, inner_decodes=graph.n_right)
+        self.ops = OpCounters(checks=graph.n_right)
 
     @property
     def unsat(self):
@@ -322,9 +318,9 @@ class DecodeState:
 
     @property
     def buckets(self) -> list[AbstractSet[int]]:
-        """`buckets[m]` is the set of variables with exactly m votes, grouped
-        in one pass over the kept counts, which makes a bucket's set when its
-        first variable arrives; the empty ones are one shared frozenset."""
+        """`buckets[m]` is the set of variables with exactly m votes; a
+        bucket's set is made when its first variable arrives, and the empty
+        ones are one shared frozenset."""
         buckets = [_EMPTY] * (self._c + 1)
         if self._tgt:
             for v, m in self._vote_counts().items():
@@ -335,9 +331,9 @@ class DecodeState:
         return buckets
 
     def _vote_counts(self) -> dict[int, int]:
-        """The kept counts, counted off the targets first if none are kept:
-        a plain dict, whose item reads and writes the interpreter runs
-        faster than a `Counter`'s in the patch loops. It is counted into
+        """The kept counts, counted off the targets first if none are kept.
+        They are a plain dict, whose item reads and writes the interpreter
+        runs faster than a `Counter`'s in the patch loops, counted into
         directly by `collections._count_elements`, the C loop of
         `Counter.update`, with no `Counter` built and copied: about 1.0
         against 1.8 us on 24 targets, the weight-1 to 3 inputs at n=2000,
@@ -382,17 +378,12 @@ class DecodeState:
                     del tgt[u]
 
     def apply_flips(self, vs) -> list[int]:
-        """Flip the given variables (a sized collection) and bring the
-        adjacent constraints up to date, charging one check and one inner
-        decode per distinct constraint next to them: for one variable, its
-        `left_adj` row as it stands, which holds distinct constraints since
-        `BipartiteGraph` rejects a repeated neighbor. Kept vote counts are
-        patched from those constraints' old and new targets; they are
-        dropped instead when the flip touches more than an eighth as many
-        constraints as hold a target. A patch costs about five counts per
-        touched constraint, paid again by the undo of a search flip, so the
-        two break even near a tenth; the eighth was picked near that, not
-        tuned."""
+        """Flip the given variables (a sized collection), bring the adjacent
+        constraints up to date and patch or drop the kept vote counts
+        (`DecodeState`), charging one check per distinct constraint next to
+        them: for one variable, its `left_adj` row as it stands, which holds
+        distinct constraints since `BipartiteGraph` rejects a repeated
+        neighbor. Returns the flipped variables as a list."""
         if len(vs) == 1:  # a simple graph: its row is distinct constraints
             flipped = list(vs)
             touched = self._left_adj[flipped[0]]
@@ -404,7 +395,6 @@ class DecodeState:
         ops = self.ops
         ops.flips += len(flipped)
         ops.checks += len(touched)
-        ops.inner_decodes += len(touched)
         counts, tgt = self._counts, self._tgt
         if counts is None or 8 * len(touched) > len(tgt):
             self._counts = None
@@ -478,16 +468,14 @@ def hard_search(state: DecodeState) -> None:
     Each node entered below s0 reads its buckets once
     (`DecodeState.buckets`), reading no neighborhood, and hands them to its
     chain. They stay exact for the whole chain: every child flip is undone
-    before the chain flips its next digit, so the chain's word holds. The
-    buckets are grouped in one pass over vote counts that are counted once
-    and then patched by each flip (`DecodeState`), so a read costs the
-    node's voted variables, plus a count of its stored targets when a wide
-    flip dropped the counts. This read is not charged to the counters. A
-    node stores at most one target per failing constraint, and every
-    entered node but the root passed a bound, so its |U| is at most
-    c*gamma*n; a call reads at most |U| + ops.nodes * c*gamma*n stored
-    targets, |U| being the root's count and ops.nodes the nodes the call
-    counts.
+    before the chain flips its next digit, so the chain's word holds. A
+    read costs the node's voted variables, plus a count of its stored
+    targets when a wide flip dropped the kept counts (`DecodeState`). This
+    read is not charged to the counters. A node stores at most one target
+    per failing constraint, and every entered node but the root passed a
+    bound, so its |U| is at most c*gamma*n; a call reads at most |U| +
+    ops.nodes * c*gamma*n stored targets, |U| being the root's count and
+    ops.nodes the nodes the call counts.
 
     The generators add no flip or node that these shortcuts do not call
     for, yet a call can cost more than its real bucket flips plus O(c) per
@@ -586,10 +574,13 @@ def hard_search(state: DecodeState) -> None:
 @dataclass(slots=True)
 class DecodeReport:
     input_weight: int = 0
-    rounds_used: int = 0
     unsat_per_round: list[int] = field(default_factory=list)
     ops: OpCounters = field(default_factory=OpCounters)
     outcome: str = ""
+
+    @property
+    def rounds_used(self) -> int:
+        return max(0, len(self.unsat_per_round) - 1)
 
     def to_dict(self) -> dict:
         return {
@@ -636,7 +627,6 @@ def main_decode(
     report = report or DecodeReport()
     report.input_weight = weight
     report.ops = state.ops
-    report.rounds_used = 0
     syn = state._syn  # |U| is len(syn)
     report.unsat_per_round = [len(syn)]
     report.outcome = "failed"
@@ -645,7 +635,6 @@ def main_decode(
             if not syn:
                 break
             hard_search(state)
-            report.rounds_used += 1
             report.unsat_per_round.append(len(syn))
         if syn:
             _final_inner_pass(state)
@@ -662,8 +651,8 @@ def _final_inner_pass(state: DecodeState) -> None:
     """Rewrite each still-unsatisfied restriction with its decoded codeword,
     in ascending order of constraint. The state keeps every syndrome current,
     so the coset leader is one lookup of u's syndrome; each constraint taken
-    is charged one check and one inner decode, and one with no leader within
-    the inner radius is left as it is."""
+    is charged one check, whose lookup is its inner decode, and one with no
+    leader within the inner radius is left as it is."""
     table = state.code.inner.syndrome_table
     ops = state.ops
     for u in sorted(state.unsat):
@@ -671,7 +660,6 @@ def _final_inner_pass(state: DecodeState) -> None:
         if syndrome is None:  # an earlier rewrite repaired u
             continue
         ops.checks += 1
-        ops.inner_decodes += 1
         leader = table.get(syndrome)
         if not leader:
             continue

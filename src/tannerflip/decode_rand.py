@@ -109,13 +109,21 @@ def sample_flip_set(
 
 @dataclass
 class RandDecodeReport:
-    """`main` reports the deterministic phase, but `main.ops` counts the whole
-    decode from set-up on; after an abort it holds the randomized phase's."""
+    """`main` reports the deterministic phase and is made afresh by each
+    decode, but `main.ops` counts the whole decode from set-up on; after an
+    abort it holds the randomized phase's. `handed_off` is whether the
+    deterministic phase ran."""
 
-    iterations: int = 0
     unsat_trajectory: list[int] = field(default_factory=list)
-    handed_off: bool = False
     main: DecodeReport = field(default_factory=DecodeReport)
+
+    @property
+    def iterations(self) -> int:
+        return max(0, len(self.unsat_trajectory) - 1)
+
+    @property
+    def handed_off(self) -> bool:
+        return bool(self.unsat_trajectory and self.main.unsat_per_round)
 
 
 def randomized_decode(
@@ -133,15 +141,13 @@ def randomized_decode(
     c = code.graph.c
     handoff = (params.delta - 1 / params.d0) * c * params.gamma * params.n
     report = report or RandDecodeReport()
-    report.main.ops = state.ops
+    report.main = DecodeReport(ops=state.ops)
     report.unsat_trajectory = [state.unsat_count]
     for iteration in range(1, config.max_iters + 1):
         picked = sample_flip_set(state.buckets, c, iteration_draw(config.seed, iteration))
         state.apply_flips(picked)
-        report.iterations = iteration
         report.unsat_trajectory.append(state.unsat_count)
         if state.unsat_count <= handoff:
-            report.handed_off = True
             return main_decode(code, params, state, report=report.main)
     raise RandomizedAbort(f"no hand-off within {config.max_iters} iterations")
 

@@ -84,6 +84,13 @@ class TestSweep:
         parsed = parse_csv(text)
         assert parsed.rows == report.rows
 
+    @pytest.mark.parametrize(
+        "text", ["", "weight,trial\n", CSV_HEADER.replace("v1", "v2") + "\n"]
+    )
+    def test_parse_csv_rejects_unknown_header(self, text):
+        with pytest.raises(ValueError, match="missing or unknown sweep header"):
+            parse_csv(text)
+
     def test_reproducible_up_to_timing(self, k32_code, k32_params):
         config = ExperimentConfig(weights=(1,), trials=5, seed=5)
         a = run_sweep(k32_code, k32_params, config)
@@ -149,6 +156,8 @@ class TestSweep:
             tf.sweep.decode(k32_code, k32_params, "det", x, tf.RandDecodeReport(), max_iters=3)
         report = tf.RandDecodeReport()
         assert tf.sweep.decode(k32_code, k32_params, "det", x, report) == BitVector.zeros(3)
+        with pytest.raises(ValueError, match="unknown decoder 'magic'"):
+            tf.sweep.decode(k32_code, k32_params, "magic", x, tf.RandDecodeReport())
 
 
 class TestWorkerCount:
@@ -225,6 +234,14 @@ class TestCli:
         assert payload["word"] == "000"
         assert payload["report"]["outcome"] == "codeword"
         assert payload["report"]["nodes"] == 0  # k32 runs no search round
+
+    def test_decode_short_word_exit_3(self, k32_bundle, capsys):
+        rc = main(
+            ["decode", "--code", str(k32_bundle), "--word", "10",
+             "--alpha", "0.3333", "--delta", "1"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: length mismatch: expected 3, got 2\n"
 
     @staticmethod
     def one_block_code(tmp_path) -> list[str]:
@@ -422,6 +439,13 @@ class TestCli:
              "--out", "/tmp/never.bigraph"]
         )
         assert rc == 3
+        capsys.readouterr()
+        rc = main(
+            ["gen-graph", "--c", "0", "--d", "3", "--n", "3", "--seed", "0",
+             "--out", "/tmp/never.bigraph"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: degrees must be positive\n"
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's RLIMIT_AS")
     def test_out_of_memory_exit_3(self, tmp_path):
@@ -451,14 +475,20 @@ class TestCli:
             assert (done.returncode, done.stderr) == (3, "error: out of memory\n"), argv[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-5"), ("--c", "0"), ("--d", "0")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n", "0"), ("--n", "-5"), ("--c", "0"), ("--d", "0"),
+         ("--alpha", "0"), ("--alpha", "1.5"), ("--delta", "0"), ("--delta", "1.5")],
+    )
     def test_params_non_positive_size_exit_3(self, capsys, flag, value):
+        # sizes below 1, and the fractions alpha and delta outside (0, 1]
         argv = ["params", "--c", "2", "--d", "3", "--alpha", "0.3", "--delta", "1",
                 "--d0", "3", "--n", "3"]
         argv[argv.index(flag) + 1] = value
         assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err == f"error: {flag[2:]} must be at least 1, got {value}\n"
+        name = flag[2:]
+        bound = "in (0, 1]" if name in ("alpha", "delta") else f"at least 1, got {value}"
+        assert capsys.readouterr().err == f"error: {name} must be {bound}\n"
 
     @pytest.mark.parametrize("delta, d0", [("0.50001", "7"), ("0.33334", "10")])
     def test_params_tiny_eps3_exit_3(self, capsys, delta, d0):
@@ -479,6 +509,13 @@ class TestCli:
         )
         assert rc == 3
         assert capsys.readouterr().err == "error: degrees must be at least 1, got c=1, d=0\n"
+
+    def test_degree_sum_not_divisible_exit_3(self, tmp_path, capsys):
+        graph = tmp_path / "g.bigraph"
+        graph.write_text("3 2 1 1\n0 1 2\n")
+        rc = main(["verify-expansion", "--graph", str(graph), "--alpha", "0.3", "--delta", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: left degree sum not divisible by right degree\n"
 
     def test_missing_code_args_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

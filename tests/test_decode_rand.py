@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -231,6 +232,23 @@ def test_iterations_shrink_corruption(big_code, big_params):
     assert statistics.fmean(reductions) >= predicted
 
 
+def test_derived_report_fields():
+    # each count is stored once; the others are read off it
+    assert [f.name for f in dataclasses.fields(tf.OpCounters)] == ["checks", "flips", "nodes"]
+    ops = tf.OpCounters(checks=5, flips=2, nodes=1)
+    assert ops.inner_decodes == 5 and ops.total() == 13
+    assert tf.DecodeReport().rounds_used == 0
+    assert tf.DecodeReport(unsat_per_round=[4, 2, 0]).rounds_used == 2
+    report = tf.RandDecodeReport()
+    assert report.iterations == 0 and not report.handed_off
+    report.unsat_trajectory = [9, 5, 3]
+    assert report.iterations == 2 and not report.handed_off
+    report.main.unsat_per_round = [3, 0]
+    assert report.handed_off and report.main.rounds_used == 1
+    # a deterministic decode through sweep.decode fills only `main`
+    assert not tf.RandDecodeReport(main=tf.DecodeReport(unsat_per_round=[3, 0])).handed_off
+
+
 def rand_decode_big(code, params, weight, seed, report):
     """The randomized decode of pinned input (weight, seed) on the n=2000
     fixture; None when it aborts."""
@@ -350,6 +368,27 @@ class TestHandOff:
                     outs.append(type(exc))
             assert outs[0] == outs[1]
             assert reports[0].to_json_line() == reports[1].to_json_line()
+
+    def test_reused_report_holds_only_the_last_decode(self, big_code, big_params):
+        # a decode that hands off, then one that aborts, into one report: the
+        # abort must leave no trace of the first decode's deterministic phase
+        zeros = BitVector.zeros(big_code.n)
+        report = tf.RandDecodeReport()
+        first = corrupt(zeros, 9, seed=1)
+        cfg = RandDecodeConfig.for_params(big_params, seed=1)
+        assert randomized_decode(big_code, big_params, cfg, first, report=report) == zeros
+        assert report.handed_off and report.main.outcome == "codeword"
+        second = corrupt(zeros, 900, seed=2)
+        cfg = RandDecodeConfig(max_iters=1, seed=2)
+        fresh = tf.RandDecodeReport()
+        for into in (report, fresh):
+            with pytest.raises(RandomizedAbort):
+                randomized_decode(big_code, big_params, cfg, second, report=into)
+        assert not report.handed_off and report.iterations == 1
+        assert report.main.outcome == "" and report.main.unsat_per_round == []
+        assert report.main.ops == fresh.main.ops
+        assert report.main.to_json_line() == fresh.main.to_json_line()
+        assert report.unsat_trajectory == fresh.unsat_trajectory
 
     def test_state_from_another_code_or_params_rejected(
         self, big_code, big_params, k32_code, k32_params
