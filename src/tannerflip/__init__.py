@@ -24,7 +24,6 @@ from .decode_det import (
     TruthTrace,
     compute_truth_trace,
     derive_params,
-    easy_flip,
     hard_search,
     main_decode,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "TruthTrace",
     "compute_truth_trace",
     "derive_params",
-    "easy_flip",
     "hard_search",
     "main_decode",
     "RandDecodeConfig",

@@ -1,38 +1,18 @@
 """Deterministic flip decoding with incremental bookkeeping.
 
-The decoder stack has three layers. A single voting-and-flip round
-(`easy_flip`) flips every variable holding exactly m votes (one vote per
-constraint that sees a decodable but wrong restriction, aimed at its lowest
-mismatching neighbor). The search layer (`hard_search`) scans sequences of
-such rounds in lexicographic order, pruning every prefix whose unsatisfied
-count stops shrinking fast enough, until one sequence cuts the count by a
-fixed factor. The top layer (`main_decode`) repeats the search until no
-constraint is unsatisfied, then finishes with one bounded-distance pass of
-the inner decoder. The search flips buckets through
-`DecodeState.apply_flips` itself.
+The layers, bottom up, each described in full in its own docstring:
 
-The state is the word, each failing constraint's inner syndrome and each
-voting constraint's target, kept up to date in one pass: a flip walks each
-flipped variable's edges once, XORing one column syndrome of the inner code
-into each adjacent constraint's syndrome and re-aiming that constraint's
-vote by one lookup. A vote aimed at the edge's own slot is for the flipped
-variable, so only a vote aimed elsewhere reads the constraint's
-neighborhood. The vote counts are kept beside the targets (`DecodeState`).
-The maps hold only nonzero entries, so a decode allocates nothing per
-coordinate beyond its word. Set-up is the flip of the received word's
-support, read from its packed bits (`BitVector.indices`), from the zero
-word: every constraint away from the support passes by linearity, and one
-first met takes the flipped variable's column syndrome and votes for it, in
-one step. Set-up is charged one check per constraint. The output is packed
-from the word's final 1-positions (`BitVector.from_bytes01`, per 1 on a
-sparse word), so a decode converts its word per 1-bit, not per coordinate.
-No decode makes a whole-word pass: flipping a variable updates only the
-adjacent constraints, and the closing membership check
-(`TannerCode.failing_constraints` on the output word) reads only the
-constraints next to the output's 1-coordinates.
-The search walk runs each chain of empty-bucket (no-op) levels as one
-generator, so it flips no bucket for a no-op level; `hard_search` says where
-a call can cost more than its bucket flips; `OpCounters`, what is uncounted.
+- `DecodeState` keeps the word, each failing constraint's inner syndrome
+  and each vote's target current through `apply_flips`. Flipping
+  `state.buckets[m]` is the decoder's one round: every variable that holds
+  exactly m votes.
+- `hard_search` scans sequences of rounds in lexicographic order, pruned by
+  `DecoderParams.prune_bounds`, and commits the first that cuts the
+  unsatisfied count to eps4 * |U|.
+- `main_decode` repeats the search until no constraint fails, then makes one
+  bounded-distance pass of the inner decoder and a membership check.
+
+`OpCounters` says what each layer charges and what is uncounted.
 """
 
 from __future__ import annotations
@@ -300,10 +280,6 @@ class DecodeState:
         return self._syn.keys()
 
     @property
-    def unsat_count(self) -> int:
-        return len(self._syn)
-
-    @property
     def targets(self) -> MappingProxyType[int, int]:
         """Each voting constraint's target, its neighbor at the slot that
         `vote_slots` gives its syndrome: a live, read-only view of the map
@@ -335,11 +311,7 @@ class DecodeState:
         They are a plain dict, whose item reads and writes the interpreter
         runs faster than a `Counter`'s in the patch loops, counted into
         directly by `collections._count_elements`, the C loop of
-        `Counter.update`, with no `Counter` built and copied: about 1.0
-        against 1.8 us on 24 targets, the weight-1 to 3 inputs at n=2000,
-        but 25 against 21 us on 650 targets, where each insert into a dict
-        that holds only ints also checks whether to start tracking it for the
-        cyclic collector; that is under 1% of such a decode."""
+        `Counter.update`, with no `Counter` built and copied."""
         counts = self._counts
         if counts is None:
             counts = self._counts = {}
@@ -417,24 +389,6 @@ class DecodeState:
         return flipped
 
 
-def easy_flip(state: DecodeState, m: int) -> list[int]:
-    """Flip every variable holding exactly m votes; returns the flipped set.
-
-    The votes are the state's kept targets: each constraint whose
-    restriction decodes to a codeword at distance 1..t votes for its smallest
-    mismatching neighbor. Only constraints adjacent to flipped variables are
-    updated.
-
-    No decoder calls it: `hard_search` flips buckets through
-    `DecodeState.apply_flips` itself. It stays public as the one-round step
-    that the lexicographic scan oracle (`deep_flip` in the tests) and the
-    voting tests drive.
-    """
-    if not 1 <= m <= state.code.graph.c:
-        raise ValueError(f"m must be in [1, {state.code.graph.c}]")
-    return state.apply_flips(state.buckets[m])
-
-
 def hard_search(state: DecodeState) -> None:
     """Commit the first flip sequence that cuts the unsatisfied count to
     eps4 * |U|, scanning [c]^s0 in lexicographic order.
@@ -489,8 +443,8 @@ def hard_search(state: DecodeState) -> None:
     s0 = params.s0
     c = state.code.graph.c
     table = params.prune_bounds
-    syn = state._syn  # |U| is len(syn)
-    accept_limit = params.eps4 * len(syn)
+    unsat = state.unsat
+    accept_limit = params.eps4 * len(unsat)
     ops = state.ops
     apply_flips = state.apply_flips
 
@@ -504,7 +458,7 @@ def hard_search(state: DecodeState) -> None:
         e = 1
         while e <= c and buckets[e]:
             e += 1
-        top = max(depth, reach(len(syn))) if e <= c else depth
+        top = max(depth, reach(len(unsat))) if e <= c else depth
         last = min(top, s0 - 1)
         after = [m for m in range(e + 1, c + 1) if buckets[m]]
         known = [s0 + 1] * (c + 1)  # reach after flipping m, once tried
@@ -513,7 +467,7 @@ def hard_search(state: DecodeState) -> None:
             for m in digits:
                 if known[m] > level:
                     flipped = apply_flips(buckets[m])
-                    known[m] = k = reach(len(syn))
+                    known[m] = k = reach(len(unsat))
                     if k > level:
                         # no try/finally: once a leaf accepts, the dropped
                         # generators must not undo the accepted sequence
@@ -552,10 +506,8 @@ def hard_search(state: DecodeState) -> None:
                 stack.append(chain(depth, buckets))
                 return False
         # a frozen node's word must also meet every bound down to s0
-        unsat = len(syn)
-        if unsat > accept_limit or reach(unsat) != s0:
-            return False
-        return True
+        count = len(unsat)
+        return count <= accept_limit and reach(count) == s0
 
     if enter(0):
         return
@@ -627,18 +579,18 @@ def main_decode(
     report = report or DecodeReport()
     report.input_weight = weight
     report.ops = state.ops
-    syn = state._syn  # |U| is len(syn)
-    report.unsat_per_round = [len(syn)]
+    unsat = state.unsat
+    report.unsat_per_round = [len(unsat)]
     report.outcome = "failed"
     try:
         for _ in range(params.ell):
-            if not syn:
+            if not unsat:
                 break
             hard_search(state)
-            report.unsat_per_round.append(len(syn))
-        if syn:
+            report.unsat_per_round.append(len(unsat))
+        if unsat:
             _final_inner_pass(state)
-        if syn or code.failing_constraints(state.x):
+        if unsat or code.failing_constraints(state.x):
             raise DecodeFailure("output fails the membership check")
     except DecodeFailure as exc:
         report.outcome = exc.outcome
@@ -755,7 +707,6 @@ __all__ = [
     "derive_params",
     "OpCounters",
     "DecodeState",
-    "easy_flip",
     "hard_search",
     "DecodeReport",
     "main_decode",

@@ -18,10 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable
 
-try:  # the C module alone: importing hashlib also loads OpenSSL
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
+from _blake2 import blake2b  # hashlib's own type; importing hashlib loads OpenSSL
 
 from .gf2 import BitVector
 from .decode_det import (
@@ -73,11 +70,6 @@ def _keyed(key: int, *parts: int):
     and derived seed. Returned undigested, so it can be copied and extended."""
     data = b"".join(p.to_bytes(8, "little", signed=True) for p in parts)
     return blake2b(data, digest_size=8, key=(key & (2**64 - 1)).to_bytes(8, "little"))
-
-
-def _keyed_hash(key: int, *parts: int) -> int:
-    """The digest of `_keyed` as an unsigned 64-bit int."""
-    return int.from_bytes(_keyed(key, *parts).digest(), "little")
 
 
 def iteration_draw(seed: int, iteration: int) -> Callable[[int], float]:
@@ -142,12 +134,13 @@ def randomized_decode(
     handoff = (params.delta - 1 / params.d0) * c * params.gamma * params.n
     report = report or RandDecodeReport()
     report.main = DecodeReport(ops=state.ops)
-    report.unsat_trajectory = [state.unsat_count]
+    unsat = state.unsat
+    report.unsat_trajectory = [len(unsat)]
     for iteration in range(1, config.max_iters + 1):
         picked = sample_flip_set(state.buckets, c, iteration_draw(config.seed, iteration))
         state.apply_flips(picked)
-        report.unsat_trajectory.append(state.unsat_count)
-        if state.unsat_count <= handoff:
+        report.unsat_trajectory.append(len(unsat))
+        if len(unsat) <= handoff:
             return main_decode(code, params, state, report=report.main)
     raise RandomizedAbort(f"no hand-off within {config.max_iters} iterations")
 

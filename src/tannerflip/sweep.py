@@ -26,7 +26,7 @@ from .decode_det import DecodeFailure, DecoderParams, main_decode
 from .decode_rand import (
     RandDecodeConfig,
     RandDecodeReport,
-    _keyed_hash,
+    _keyed,
     randomized_decode,
 )
 from .tanner import TannerCode, corrupt
@@ -39,7 +39,7 @@ class UsageError(ValueError):
 
 def derive_seed(root: int, *parts: int) -> int:
     """Stable 63-bit seed from a root seed and integer tags."""
-    return _keyed_hash(root, *parts) >> 1
+    return int.from_bytes(_keyed(root, *parts).digest(), "little") >> 1
 
 
 # The decoders `decode` dispatches on, by name
@@ -57,14 +57,16 @@ def decode(
     code: TannerCode, params: DecoderParams, decoder: str, x: BitVector,
     report: RandDecodeReport, seed: int = 0, max_iters: int | None = None,
 ) -> BitVector:
-    """Decode x with the named decoder into `report`: "det" runs main_decode
-    on `report.main`, "rand" runs randomized_decode with `seed` and the
-    iteration budget `max_iters`; "det" given a budget raises ValueError.
+    """Decode x with the named decoder into `report`: "det" empties
+    `report.unsat_trajectory` and runs main_decode on `report.main`, "rand"
+    runs randomized_decode with `seed` and the iteration budget `max_iters`;
+    "det" given a budget raises ValueError.
     A failure propagates as a DecodeFailure and names itself by its
     `outcome`. The decoders are read as module globals at each call, so
     rebinding them here reaches every sweep and CLI decode."""
     _check_budget(decoder, max_iters)
     if decoder == DET:
+        report.unsat_trajectory = []  # no randomized phase ran
         return main_decode(code, params, x, report=report.main)
     if decoder == RAND:
         config = RandDecodeConfig.for_params(params, seed=seed, max_iters=max_iters)

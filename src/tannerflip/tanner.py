@@ -66,8 +66,8 @@ class TannerCode:
     def is_codeword(self, x: BitVector) -> bool:
         """Membership of x, through `failing_constraints`. No decoder calls
         it: `compute_truth_trace` checks its truth word with it, and the
-        benchmark (`bench/run.py`, timed by `bench/spans.py`) re-checks each
-        decoded word."""
+        benchmark (`bench/run.py`) re-checks each decoded word with it, bound
+        before `bench/spans.py` wraps the method, so no span times that."""
         return not self.failing_constraints(x.to_bytes01())
 
     @property

@@ -332,7 +332,7 @@ def test_criterion_7_linear_time_contract():
             # search-layer cost: ops spent after state setup, per call
             state = tf.DecodeState(code, params, x)
             corrupt_count = (x ^ truth).weight()
-            while state.unsat_count:
+            while len(state.unsat):
                 before = state.ops.total()
                 tf.hard_search(state)
                 spent = state.ops.total() - before

@@ -517,6 +517,22 @@ class TestCli:
         assert rc == 3
         assert capsys.readouterr().err == "error: left degree sum not divisible by right degree\n"
 
+    def test_wrong_right_degree_exit_3(self, tmp_path, capsys):
+        # the left side is well formed, but right vertex 0 has three neighbors
+        graph = tmp_path / "g.bigraph"
+        graph.write_text("1 2 4 2\n0\n0\n0\n1\n")
+        rc = main(["verify-expansion", "--graph", str(graph), "--alpha", "0.3", "--delta", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: right vertex 0 has degree 3, expected 2\n"
+
+    def test_lowerbound_without_sub_expander_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "lb.bigraph"
+        rc = main(["lowerbound-graph", "--d", "8", "--d0", "2", "--n", "20", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: no verifiable sub-expander found") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_code_args_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mindist"])

@@ -241,8 +241,8 @@ class TestDecodeState:
         assert targets == {0: 0, 1: 0}
         assert_state_consistent(st, k32_code, k32_params)
         # a live view of the kept map, as `unsat` is of the syndromes
-        tf.easy_flip(st, 2)
-        assert targets == {} and st.unsat_count == 0
+        st.apply_flips(st.buckets[2])
+        assert targets == {} and len(st.unsat) == 0
 
     def test_consistency_random(self, big_code, big_params):
         rng = random.Random(7)
@@ -256,7 +256,7 @@ class TestDecodeState:
         for bits in range(8):
             st = tf.DecodeState(k32_code, k32_params, BitVector(3, bits))
             for m in (1, 2, 1):
-                tf.easy_flip(st, m)
+                st.apply_flips(st.buckets[m])
                 assert_state_consistent(st, k32_code, k32_params)
 
     def test_setup_matches_examining_every_constraint(
@@ -538,20 +538,20 @@ class TestDecodeState:
 class TestEasyFlip:
     def test_flips_double_voted_vertex(self, k32_code, k32_params):
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("100"))
-        flipped = tf.easy_flip(st, 2)
+        flipped = st.apply_flips(st.buckets[2])
         assert flipped == [0]
         assert st.x_vector().to_text() == "000"
-        assert st.unsat_count == 0
+        assert len(st.unsat) == 0
 
     def test_empty_bucket_is_noop(self, k32_code, k32_params):
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("100"))
-        assert tf.easy_flip(st, 1) == []
+        assert st.apply_flips(st.buckets[1]) == []
         assert st.x_vector().to_text() == "100"
 
     def test_codeword_untouched(self, k32_code, k32_params):
         for m in (1, 2):
             st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("111"))
-            assert tf.easy_flip(st, m) == []
+            assert st.apply_flips(st.buckets[m]) == []
             assert st.x_vector().to_text() == "111"
 
     def test_output_differs_exactly_on_bucket(self, big_code, big_params):
@@ -562,20 +562,13 @@ class TestEasyFlip:
             for m in range(1, big_code.graph.c + 1):
                 before = st.x_vector()
                 bucket = set(st.buckets[m])
-                flipped = set(tf.easy_flip(st, m))
+                flipped = set(st.apply_flips(st.buckets[m]))
                 assert flipped == bucket
                 assert set((st.x_vector() ^ before).indices()) == bucket
 
-    def test_m_range(self, k32_code, k32_params):
-        st = tf.DecodeState(k32_code, k32_params, BitVector.zeros(3))
-        with pytest.raises(ValueError):
-            tf.easy_flip(st, 0)
-        with pytest.raises(ValueError):
-            tf.easy_flip(st, 3)
-
 
 def deep_flip(state: tf.DecodeState, seq) -> bool:
-    """Apply easy_flip per entry of seq with a shrink check after each step;
+    """Flip bucket m for each m of seq with a shrink check after each step;
     the step of the scan oracle that hard_search is checked against.
 
     Returns False (pruned) as soon as the unsatisfied count exceeds the
@@ -586,8 +579,8 @@ def deep_flip(state: tf.DecodeState, seq) -> bool:
     """
     bounds = reference_bounds(state.params, len(seq))
     for k, m in enumerate(seq, 1):
-        tf.easy_flip(state, m)
-        if state.unsat_count > bounds[k]:
+        state.apply_flips(state.buckets[m])
+        if len(state.unsat) > bounds[k]:
             return False
     return True
 
@@ -597,7 +590,7 @@ class TestDeepFlip:
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("100"))
         assert deep_flip(st, [2]) is True
         assert st.x_vector().to_text() == "000"
-        assert st.unsat_count == 0
+        assert len(st.unsat) == 0
 
     def test_stalled_branch_pruned(self, k32_code, k32_params):
         st = tf.DecodeState(k32_code, k32_params, BitVector.from_text("100"))
@@ -617,7 +610,7 @@ class TestDeepFlip:
         )
         assert reference_bounds(params)[3] < 2.0
         st = tf.DecodeState(k32_code, params, BitVector.from_text("100"))
-        assert st.unsat_count == 2 and not st.buckets[1]
+        assert len(st.unsat) == 2 and not st.buckets[1]
         assert deep_flip(st, [1, 1]) is True
         assert deep_flip(st, [1, 1, 1]) is False
         # a step beyond s0 continues the formula, to 1.4
@@ -652,9 +645,9 @@ class TestHardSearch:
         for trial in range(5):
             x = corrupt(truth, 3, seed=200 + trial)
             st = tf.DecodeState(big_code, big_params, x)
-            u0 = st.unsat_count
+            u0 = len(st.unsat)
             tf.hard_search(st)
-            assert st.unsat_count <= big_params.eps4 * u0
+            assert len(st.unsat) <= big_params.eps4 * u0
 
     def test_corruption_shrinks_within_radius(self, big_code, big_params):
         # decoding-radius inputs must lose a (1-eps3) fraction of corruptions
@@ -691,9 +684,9 @@ def scan_commit(code, params, x: BitVector) -> BitVector | None:
     lexicographic order, that deep_flip runs through and that cuts |U| to
     eps4 * |U|; None when no sequence does."""
     state = tf.DecodeState(code, params, x)
-    limit = params.eps4 * state.unsat_count
+    limit = params.eps4 * len(state.unsat)
     for seq in itertools.product(range(1, code.graph.c + 1), repeat=params.s0):
-        if deep_flip(state, seq) and state.unsat_count <= limit:
+        if deep_flip(state, seq) and len(state.unsat) <= limit:
             return state.x_vector()
         state.apply_flips((state.x_vector() ^ x).indices())
     return None
@@ -850,7 +843,7 @@ def test_no_op_chain_is_one_frame(big_code, big_params):
     assert not st.buckets[1] and big_params.s0 > 10**4
     before = dataclasses.replace(st.ops)
     tf.hard_search(st)
-    assert st.unsat_count == 0
+    assert len(st.unsat) == 0
     assert st.ops.flips - before.flips == 1
     assert 1 <= st.ops.nodes - before.nodes <= 4
 
@@ -1101,7 +1094,7 @@ class TestTruthTrace:
             st = tf.DecodeState(big_code, big_params, x)
             trace = tf.compute_truth_trace(st, truth)
             predicted = trace.post_flip_corrupt_count(m)
-            tf.easy_flip(st, m)
+            st.apply_flips(st.buckets[m])
             assert (st.x_vector() ^ truth).weight() == predicted
 
 
@@ -1117,7 +1110,7 @@ def test_safety_bound_for_arbitrary_flips(big_code, big_params):
         st = tf.DecodeState(big_code, big_params, x)
         for m in range(1, big_code.graph.c + 1):
             st2 = tf.DecodeState(big_code, big_params, x)
-            tf.easy_flip(st2, m)
+            st2.apply_flips(st2.buckets[m])
             after = (st2.x_vector() ^ truth).weight()
             assert after <= cap * weight
 

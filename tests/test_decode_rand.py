@@ -390,6 +390,22 @@ class TestHandOff:
         assert report.main.to_json_line() == fresh.main.to_json_line()
         assert report.unsat_trajectory == fresh.unsat_trajectory
 
+    def test_reused_report_holds_only_the_last_det_decode(self, big_code, big_params):
+        # a randomized decode that hands off, then a deterministic one, into
+        # one report through sweep.decode: the trajectory must not survive
+        zeros = BitVector.zeros(big_code.n)
+        report = tf.RandDecodeReport()
+        first = corrupt(zeros, 9, seed=1)
+        assert tf.sweep.decode(big_code, big_params, "rand", first, report, seed=1) == zeros
+        assert report.handed_off and report.iterations > 0
+        second = corrupt(zeros, 2, seed=2)
+        fresh = tf.RandDecodeReport()
+        for into in (report, fresh):
+            assert tf.sweep.decode(big_code, big_params, "det", second, into) == zeros
+        assert not report.handed_off and report.iterations == 0
+        assert report.unsat_trajectory == fresh.unsat_trajectory == []
+        assert report.main.to_json_line() == fresh.main.to_json_line()
+
     def test_state_from_another_code_or_params_rejected(
         self, big_code, big_params, k32_code, k32_params
     ):

@@ -79,7 +79,7 @@ def test_flips_keep_the_state_current(small_codes, name, data):
     )
     for step in data.draw(st.lists(steps, max_size=8)):
         if isinstance(step, int):
-            tf.easy_flip(state, step)
+            state.apply_flips(state.buckets[step])
         else:
             state.apply_flips(step)
         assert_state_consistent(state, code, params)
