@@ -406,18 +406,19 @@ def hard_search(state: DecodeState) -> None:
       down to top = min(s0, largest k whose bound |U| meets), read in O(1)
       from the reach table `prune_bounds` at the integer |U|.
 
-    Each chain is one generator, `chain(depth, buckets)`. It finds e with
-    a plain loop. Going down, it tries the digits before e level by level
-    while one of them can still pass one level deeper (with e = 1, usual on
-    a sparse word, there is none, so no down-walk runs); it yields the leaf
-    at s0 when the chain reaches s0; going back up, it tries the digits
-    after e, jumping to the deepest level where one of them passes. Its
-    `children` flips one bucket at a time, caches the largest k at which
-    the result passes, yields the child's depth when
-    the flip passes, and undoes the flip when the walk resumes it; it has no
-    try/finally, which would undo the accepted sequence as the suspended
-    generators are dropped. The main loop keeps a stack of these generators,
-    so no recursion is involved.
+    Each chain is one generator, `chain(depth, buckets)`, over levels depth
+    to last = min(top, s0 - 1). It finds e with a plain loop and tries the
+    digits before e at depth; the largest k each passes at is then known,
+    and the down walk is the levels past depth, to the deepest where one of
+    them passes (with e = 1, usual on a sparse word, there is no digit and
+    no down walk). It yields the leaf at s0 when top is s0, tries the digits
+    after e at last, and walks up from the deepest level short of last
+    where one of them passes, back to depth. Its `children` flips one bucket
+    at a time, caches the largest k at which the result passes, yields the
+    child's depth when the flip passes, and undoes the flip when the walk
+    resumes it; it has no try/finally, which would undo the accepted
+    sequence as the suspended generators are dropped. The main loop keeps a
+    stack of these generators, so no recursion is involved.
 
     Each node entered below s0 reads its buckets once
     (`DecodeState.buckets`), reading no neighborhood, and hands them to its
@@ -431,13 +432,15 @@ def hard_search(state: DecodeState) -> None:
     ops.nodes * c*gamma*n stored targets, |U| being the root's count and
     ops.nodes the nodes the call counts.
 
-    The generators add no flip or node that these shortcuts do not call
-    for, yet a call can cost more than its real bucket flips plus O(c) per
-    chain: a passing digit before e is explored again at every chain level
-    where it still passes, and the down loop steps one level at a time, the
-    one O(s0) risk left (ROADMAP item 4). `ops.nodes` counts the levels the
-    walk stands on to try digits, plus each leaf decided. Raises
-    NoAcceptableBranch when the scan exhausts, every flip undone.
+    So a chain tries each nonempty digit once, at depth or at last, and
+    every other level it stands on enters at least one child: it flips
+    there only digits already known to pass. Beyond the children it enters,
+    a chain costs at most c failed flips and two childless levels. The term
+    that grows with s0 is a digit's subtree explored again at each further
+    level where it passes, deeper for a digit before e and shallower for one
+    after (ROADMAP item 4). `ops.nodes` counts the levels the walk stands on
+    to try digits, plus each leaf decided. Raises NoAcceptableBranch when
+    the scan exhausts, every flip undone.
     """
     params = state.params
     s0 = params.s0
@@ -475,24 +478,23 @@ def hard_search(state: DecodeState) -> None:
                     apply_flips(flipped)
 
         level = depth
-        if e > 1:  # down, while a digit before e can pass one level deeper
+        if e > 1:  # down, to the deepest level where a digit before e passes
             before = range(1, e)
-            yield from children(level, before)
-            while level < last and any(known[m] > level + 1 for m in before):
-                level += 1
+            yield from children(depth, before)
+            deepest = min(last, max(known[m] for m in before) - 1)
+            for level in range(depth + 1, deepest + 1):
                 ops.nodes += 1
                 yield from children(level, before)
         if top == s0:  # the leaf
             yield s0
         if level != last:
-            level = last
             ops.nodes += 1
-        while True:  # up, to the deepest level where a digit after e passes
+        # up, from the deepest level where a digit after e passes
+        yield from children(last, after)
+        deepest = max((known[m] for m in after), default=0) - 1
+        for level in range(min(last - 1, deepest), depth - 1, -1):
+            ops.nodes += 1
             yield from children(level, after)
-            level = min(level - 1, max((known[m] for m in after), default=0) - 1)
-            if level < depth:
-                return
-            ops.nodes += 1
 
     stack = []
 
@@ -616,13 +618,7 @@ def _final_inner_pass(state: DecodeState) -> None:
         if not leader:
             continue
         coords = state._right_adj[u]
-        vs = []
-        bits = leader
-        while bits:
-            low = bits & -bits
-            vs.append(coords[low.bit_length() - 1])
-            bits ^= low
-        state.apply_flips(vs)
+        state.apply_flips([coords[j] for j in BitVector(len(coords), leader).indices()])
 
 
 @dataclass

@@ -115,7 +115,10 @@ class TannerCode:
         return BitVector(self.n, bits)
 
     def codewords(self) -> Iterator[BitVector]:
-        """All 2^dim codewords in Gray-code order (guarded by dim)."""
+        """All 2^dim codewords in Gray-code order; raises ValueError above
+        MAX_BRUTEFORCE_DIM, as `min_distance_bruteforce` does."""
+        if self.dim > MAX_BRUTEFORCE_DIM:
+            raise ValueError(f"dimension {self.dim} exceeds {MAX_BRUTEFORCE_DIM}")
         return gray_span(self.n, tuple(g.bits for g in self.generator))
 
     def min_distance_bruteforce(self) -> int:

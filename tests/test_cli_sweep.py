@@ -17,6 +17,7 @@ from tannerflip.gf2 import BitVector
 from tannerflip.sweep import (
     CSV_HEADER,
     ExperimentConfig,
+    SweepReport,
     UsageError,
     derive_seed,
     parse_csv,
@@ -62,6 +63,9 @@ class TestSweep:
         report = run_sweep(k32_code, k32_params, config)
         assert report.success_rate() == 1.0
         assert len(report.rows) == 4
+
+    def test_empty_report_success_rate(self):
+        assert SweepReport().success_rate() == 0.0
 
     def test_weight_one_all_patterns(self, k32_code, k32_params):
         config = ExperimentConfig(weights=(1,), trials=12, seed=2)
@@ -497,6 +501,12 @@ class TestCli:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: eps3 = ") and err.count("\n") == 1
+
+    def test_params_eps3_not_positive_exit_3(self, capsys):
+        argv = ["params", "--c", "3", "--d", "4", "--alpha", "0.1",
+                "--delta", "0.6000000000000001", "--d0", "4", "--n", "100"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: eps3 is not positive; parameter pathology\n"
 
     def test_zero_degree_graph_exit_3(self, tmp_path, capsys):
         graph = tmp_path / "g.bigraph"

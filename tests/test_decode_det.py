@@ -102,6 +102,15 @@ class TestDeriveParams:
             tf.derive_params(c=12, d=8, alpha=0.02, delta=delta, d0=d0, n=2000)
 
     @pytest.mark.parametrize(
+        "delta, d0, message",
+        [(0.6000000000000001, 4, "eps3 is not positive"),
+         (1e-200, 10**201, "eps1 outside its admissible range")],
+    )
+    def test_pathological_schedule_rejected(self, delta, d0, message):
+        with pytest.raises(ValueError, match=message):
+            tf.derive_params(c=3, d=4, alpha=0.1, delta=delta, d0=d0, n=100)
+
+    @pytest.mark.parametrize(
         "field, size", [("c", 0), ("d", 0), ("n", 0), ("n", -5), ("c", -1)]
     )
     def test_non_positive_size_rejected(self, field, size):

@@ -42,6 +42,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             RandDecodeConfig(max_iters=0, seed=0)
 
+    def test_eps_too_large(self, k32_params):
+        params = dataclasses.replace(k32_params, eps0=1000.0)
+        with pytest.raises(ValueError, match="eps too large"):
+            RandDecodeConfig.for_params(params, seed=0)
+
 
 class TestVertexDraw:
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, -3])

@@ -294,6 +294,22 @@ def test_bitvector_basics():
         BitVector.from_text("01x")
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BitVector(-1, 0), "length must be nonnegative"),
+        (lambda: BitVector(3, 0).distance(BitVector(4, 0)), "length mismatch"),
+        (lambda: BitMatrix(2, 3, (1,)), "row count mismatch"),
+        (lambda: BitMatrix(1, 3, (8,)), "row has bits beyond declared column count"),
+        (lambda: BitMatrix.from_rows([[1, 0], [1]]), "ragged rows"),
+    ],
+    ids=["negative-length", "distance-lengths", "row-count", "wide-row", "ragged"],
+)
+def test_malformed_input_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 @given(vectors)
 @example(BitVector(0, 0))
 @example(BitVector(70, (1 << 70) - 1))

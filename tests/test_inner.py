@@ -99,6 +99,10 @@ class TestDecodeBounded:
         code = repetition_code(3)
         assert code.decode_bounded(BitVector.from_text("000")) == BitVector.from_text("000")
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: expected 3, got 4"):
+            repetition_code(3).decode_bounded(BitVector.from_text("0000"))
+
     def test_ext_hamming_weight_two_fails(self):
         code = ext_hamming_8_4()
         for i, j in combinations(range(8), 2):

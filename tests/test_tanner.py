@@ -113,6 +113,19 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             code.min_distance_bruteforce()
 
+    def test_enumeration_guards(self):
+        # 30 disjoint [2,1,2] blocks: 2^30 codewords, past both caps
+        code = TannerCode(gen_random_biregular(1, 2, 60, seed=0), parity_check_code(2))
+        assert code.dim == 30
+        with pytest.raises(ValueError, match="dimension 30 exceeds 24"):
+            next(code.codewords())
+        with pytest.raises(ValueError, match="dimension 30 exceeds 20"):
+            code.nearest_codeword_oracle(BitVector.zeros(60))
+
+    def test_oracle_length_mismatch(self, k32_rep3):
+        with pytest.raises(ValueError, match="length mismatch: expected 3, got 4"):
+            k32_rep3.nearest_codeword_oracle(BitVector.zeros(4))
+
     def test_oracle_on_codeword(self, k32_rep3):
         cw = BitVector.from_text("111")
         assert k32_rep3.nearest_codeword_oracle(cw) == (cw, 0)
