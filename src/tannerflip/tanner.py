@@ -11,8 +11,10 @@ brute-force oracles are computed lazily; decoding and sweeps never need
 them. The elimination takes the stacked parity checks' columns, each built
 from its coordinate's edges and reduced as it is made, so the checks are
 never held at once; a column that reduces to zero gives its kernel vector
-there and then. No method reads the checks as rows; `global_h` builds them
-as rows on each access, the reference the tests compare against.
+there and then. The constraints' check rows sit in the order of their last
+left neighbours, which about halves the elimination's XORs and leaves the
+basis as it is. No method reads the checks as rows; `global_h` builds them
+in constraint order on each access, the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -89,14 +91,21 @@ class TannerCode:
         """The kernel basis of the stacked checks, as `nullspace_basis` gives
         it; column v is one pass over v's `left_adj` row zipped with its
         slot row, each slot's inner column syndrome shifted to its
-        constraint's r rows, reduced as it is made."""
+        constraint's r rows, reduced as it is made. Constraint u's rows sit
+        at r·k, k its rank by last (largest) left neighbour, which about
+        halves the XORs of the constraint order r·u and cannot change the
+        basis: which columns are free, and the earlier pivot columns each
+        one sums, do not depend on how the rows are numbered."""
         r, syndromes, graph = self.inner.h.rows, self.inner.column_syndromes, self.graph
+        right_adj, shift = graph.right_adj, [0] * graph.n_right
+        for k, u in enumerate(sorted(range(graph.n_right), key=lambda u: right_adj[u][-1])):
+            shift[u] = r * k
 
         def columns() -> Iterator[int]:
             for nb, row in zip(graph.left_adj, graph.slots):
                 column = 0
                 for u, j in zip(nb, row):
-                    column |= syndromes[j] << (r * u)
+                    column |= syndromes[j] << shift[u]
                 yield column
 
         return tuple(_column_kernel(columns(), self.n))
@@ -108,10 +117,9 @@ class TannerCode:
     def encode(self, msg: BitVector) -> BitVector:
         if msg.n != self.dim:
             raise ValueError(f"message length must equal dimension {self.dim}")
-        bits = 0
-        for i, gen in enumerate(self.generator):
-            if (msg.bits >> i) & 1:
-                bits ^= gen.bits
+        generator, bits = self.generator, 0
+        for i in msg.indices():
+            bits ^= generator[i].bits
         return BitVector(self.n, bits)
 
     def codewords(self) -> Iterator[BitVector]:

@@ -6,7 +6,7 @@ import pytest
 
 import tannerflip as tf
 from tannerflip.gf2 import BitVector, mat_vec_mul
-from tannerflip.graphs import BipartiteGraph, gen_random_biregular
+from tannerflip.graphs import BipartiteGraph, build_lowerbound_graph, gen_random_biregular
 from tannerflip.inner import parity_check_code, repetition_code
 from tannerflip.tanner import TannerCode, corrupt, load_bundle, write_bundle
 
@@ -92,6 +92,22 @@ class TestEncode:
             assert code.is_codeword(cw)
             seen.add(cw.bits)
         assert len(seen) == 8
+
+    def test_encode_positive_rate(self):
+        """(3,12) graph at n=480 with the [12,11,2] parity-check inner code,
+        dimension 360: seeded messages encode to the XOR of their basis
+        vectors and pass every constraint."""
+        code = TannerCode(gen_random_biregular(3, 12, 480, seed=1), parity_check_code(12))
+        assert code.dim == 360
+        rng = random.Random(7)
+        for weight in (1, 2, 180, 360):
+            ones = rng.sample(range(360), weight)
+            expected = 0
+            for i in ones:
+                expected ^= code.generator[i].bits
+            cw = code.encode(BitVector.from_indices(360, ones))
+            assert cw == BitVector(480, expected) and cw.bits
+            assert code.failing_constraints(cw.to_bytes01()) == []
 
     def test_wrong_message_length(self, k32_rep3):
         with pytest.raises(ValueError):
@@ -217,8 +233,20 @@ def parity_2_8() -> TannerCode:
     return TannerCode(gen_random_biregular(2, 8, 64, seed=4), parity_check_code(8))
 
 
+@pytest.fixture(scope="module")
+def lowerbound_code() -> TannerCode:
+    """The n=20 small-distance graph with the [4,3,2] parity-check inner
+    code: its three tail-covering constraints all end at coordinate 19, and
+    others tie on their last left neighbour too, so the generator's row
+    order has ties to break."""
+    return TannerCode(build_lowerbound_graph(4, 2, 20, seed=0)[0], parity_check_code(4))
+
+
+# blocks_4_8's constraints end at distinct left vertices in constraint order,
+# so last-neighbour order is the constraint order there
 @pytest.mark.parametrize(
-    "fixture", ["k32_rep3", "wide_code", "dim_zero_code", "parity_2_8"]
+    "fixture",
+    ["k32_rep3", "wide_code", "dim_zero_code", "parity_2_8", "blocks_4_8", "lowerbound_code"],
 )
 def test_generator_matches_column_scan_kernel(request, fixture):
     code = request.getfixturevalue(fixture)
